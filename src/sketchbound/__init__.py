@@ -57,7 +57,6 @@ from .stirling import (
     left_tail_stirling,
     log_factorial,
     log_pmf,
-    log_term_step,
 )
 
 __version__ = "0.1.0"
@@ -91,7 +90,6 @@ __all__ = [
     "left_tail_stirling",
     "log_factorial",
     "log_pmf",
-    "log_term_step",
     "lower_bound",
     "lower_bound_exact",
     "pmf",

@@ -178,22 +178,38 @@ def anchor_term(n: int, m: int, s: int, k: int, ctx: PrecisionContext) -> TermSe
 def left_tail_direct(n: int, m: int, s: int, k: int, ctx: PrecisionContext) -> Decimal:
     """P(K <= k) with absolute error within ctx.abs_error_target.
 
-    Evaluates the anchor term from scratch, walks outward with the ratio
-    recurrence until terms drop below ctx.trunc_threshold, and accumulates
-    each directional run smallest-first.
+    Evaluates the anchor term from scratch and hands it to the ratio walk.
     """
+    trivial = _trivial_tail(n, m, s, k, ctx)
+    if trivial is not None:
+        return trivial
+    j0 = _anchor_index(n, m, s, k)
+    return _walk_sum(n, m, s, k, j0, pmf_direct(n, m, s, j0, ctx), ctx)
+
+
+def _trivial_tail(n: int, m: int, s: int, k: int, ctx: PrecisionContext) -> Decimal | None:
+    """Check a floating tail's arguments; return the tail if it is 0 or 1."""
     _check_tail_domain(n, m, s)
     if k < 0:
         raise DomainError(f"tail index must be >= 0, got k={k}")
     _check_feasible(ctx)
     if m > n - (s - k):
         return _ZERO
-    j_lo, j_hi = _support(n, m, s)
-    if k >= j_hi:
+    if k >= _support(n, m, s)[1]:
         # the sum covers the entire support
         return _ONE
-    plan = anchor_term(n, m, s, k, ctx)
-    j0, anchor = plan.anchor_j, plan.anchor_value
+    return None
+
+
+def _walk_sum(n: int, m: int, s: int, k: int, j0: int, anchor: Decimal,
+              ctx: PrecisionContext) -> Decimal:
+    """Sum of the tail terms p(j_lo..k) given the anchor term p(j0).
+
+    Walks outward from the anchor with the exact two-term ratio until terms
+    drop below ctx.trunc_threshold, and accumulates each directional run
+    smallest-first.
+    """
+    j_lo = _support(n, m, s)[0]
     thr = ctx.trunc_threshold
     with localcontext(ctx.context):
         down: list[Decimal] = []

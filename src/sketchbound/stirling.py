@@ -1,40 +1,34 @@
-"""Left-tail evaluation in log space with a seven-term Stirling series.
+"""Left-tail evaluation with its anchor term taken from the Stirling series.
 
-ln h! is approximated by
+ln h! is approximated by the Stirling series
 
-    h ln h - h + ln(2 pi h)/2 + 1/(12h) - 1/(360h^3) + 1/(1260h^5) - 1/(1680h^7)
+    h ln h - h + ln(2 pi h)/2 + sum_i B_2i / (2i (2i-1) h^(2i-1))
+      = h ln h - h + ln(2 pi h)/2 + 1/(12h) - 1/(360h^3) + 1/(1260h^5) - ...
 
-for h at or above a cutoff, with the terms accumulated smallest-first so the
-corrections are not lost to roundoff; below the cutoff the series is too
-coarse and ln h! is summed directly from logs.  A pmf is nine such values,
-neighboring terms follow by adding log ratios, and the tail is accumulated
-exactly like the direct engine, just with an exponentiation per term.
+for h at or above a cutoff, with the correction terms accumulated
+smallest-first so they are not lost to roundoff, and with as many of them
+as the digit count needs; below the cutoff ln h! is the log of the exact
+factorial.  The anchor term of a tail is the exponential of a signed sum of
+nine such values, and the rest of the tail follows from it by the exact
+two-term ratio walk the direct engine uses.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from typing import Optional
 
-from .direct import _anchor_index, _check_feasible, _check_tail_domain, _support
-from .model import (
-    DomainError,
-    PrecisionContext,
-    StructuralZeroError,
-    TermBoundaryError,
-    decimal_context,
-)
+from .direct import _anchor_index, _check_tail_domain, _support, _trivial_tail, _walk_sum
+from .model import DomainError, PrecisionContext, StructuralZeroError, decimal_context
 
 _ZERO = Decimal(0)
-_ONE = Decimal(1)
-
-# ln of integers up to this bound is memoized per digit count; beyond it a
-# fresh ln costs the same as the memo would save on a single use.
-_LN_MEMO_MAX = 4096
-_ln_memo: dict[tuple[int, int], Decimal] = {}
 
 _pi_memo: dict[int, Decimal] = {}
 _ln2pi_memo: dict[int, Decimal] = {}
+_bernoulli_memo: list[Fraction] = [Fraction(1)]
 
 
 def _pi(digits: int) -> Decimal:
@@ -68,27 +62,29 @@ def _ln2pi(digits: int) -> Decimal:
     return result
 
 
-def _ln_int(i: int, digits: int) -> Decimal:
-    # callers run inside the matching context already; the memoized path
-    # pins the context so cached values always honor their key
-    if i <= _LN_MEMO_MAX:
-        key = (i, digits)
-        cached = _ln_memo.get(key)
-        if cached is None:
-            with localcontext(decimal_context(digits)):
-                cached = Decimal(i).ln()
-            _ln_memo[key] = cached
-        return cached
-    return Decimal(i).ln()
+def _bernoulli(i: int) -> Fraction:
+    """B_i (with B_1 = -1/2), from sum_{j <= i} C(i+1, j) B_j = 0."""
+    while len(_bernoulli_memo) <= i:
+        r = len(_bernoulli_memo)
+        _bernoulli_memo.append(
+            -sum(math.comb(r + 1, j) * b for j, b in enumerate(_bernoulli_memo)) / (r + 1))
+    return _bernoulli_memo[i]
 
 
 class LogFactorialTable:
     """Memoized ln h! with a small-argument exact path.
 
-    Below `exact_cutoff` the series error (about 3e-4 at h = 1) is
-    unacceptable, so ln h! is the direct sum of logs there.  Cached values
-    are keyed by (h, digits); the cache is an optimization only.
+    Below the cutoff, ln h! is the log of the exact factorial.  The cutoff
+    is `exact_cutoff` or half the digit count, whichever is larger; from
+    there on the series terms fall fast enough that, after the first four
+    correction terms, more are summed until the first one left out, which
+    bounds the remainder, is below 10^-(digits-8)/9 (nine values make up
+    one log pmf).  Cached values are keyed by (h, digits); at most
+    MAX_CACHED are kept, the oldest evicted first.  The cache is an
+    optimization only.
     """
+
+    MAX_CACHED = 4096
 
     def __init__(self, exact_cutoff: int = 30):
         if exact_cutoff < 1:
@@ -97,31 +93,38 @@ class LogFactorialTable:
         self.cached_values: dict[tuple[int, int], Decimal] = {}
 
     def value(self, h: int, ctx: PrecisionContext) -> Decimal:
+        return self._value(h, ctx.digits)
+
+    def _value(self, h: int, digits: int) -> Decimal:
         if h < 0:
             raise DomainError(f"factorial argument must be >= 0, got {h}")
-        key = (h, ctx.digits)
+        key = (h, digits)
         cached = self.cached_values.get(key)
         if cached is None:
-            cached = self._compute(h, ctx.digits)
+            cached = self._compute(h, digits)
+            if len(self.cached_values) >= self.MAX_CACHED:
+                del self.cached_values[next(iter(self.cached_values))]
             self.cached_values[key] = cached
         return cached
 
     def _compute(self, h: int, digits: int) -> Decimal:
         with localcontext(decimal_context(digits)):
-            if h < self.exact_cutoff:
-                acc = _ZERO
-                for i in range(2, h + 1):
-                    acc += _ln_int(i, digits)
-                return acc
+            if h < max(self.exact_cutoff, digits // 2):
+                return Decimal(math.factorial(h)).ln()
+            tol = Decimal(1).scaleb(8 - digits) / 9
+            terms = []
+            for i in itertools.count(1):
+                b = _bernoulli(2 * i)
+                t = Decimal(b.numerator) / (b.denominator * 2 * i * (2 * i - 1) * h ** (2 * i - 1))
+                if i > 4 and abs(t) < tol:
+                    break
+                terms.append(t)
+            # smallest terms first
+            acc = _ZERO
+            for t in reversed(terms):
+                acc += t
             hd = Decimal(h)
             lnh = hd.ln()
-            h2 = h * h
-            h3 = h2 * h
-            # smallest terms first
-            acc = -1 / Decimal(1680 * h3 * h2 * h2)
-            acc += 1 / Decimal(1260 * h3 * h2)
-            acc -= 1 / Decimal(360 * h3)
-            acc += 1 / Decimal(12 * h)
             acc += (_ln2pi(digits) + lnh) / 2
             acc -= hd
             acc += hd * lnh
@@ -133,7 +136,7 @@ _default_table = LogFactorialTable()
 
 def log_factorial(h: int, ctx: PrecisionContext,
                   table: Optional[LogFactorialTable] = None) -> Decimal:
-    """ln h!, by Stirling series above the table's cutoff and log sums below."""
+    """ln h!, by Stirling series above the table's cutoff and exactly below."""
     return (table or _default_table).value(h, ctx)
 
 
@@ -141,6 +144,9 @@ def log_pmf(n: int, m: int, s: int, j: int, ctx: PrecisionContext,
             table: Optional[LogFactorialTable] = None) -> Decimal:
     """ln P(K = j) as a signed sum of nine log factorials.
 
+    The log factorials, of size up to n ln n, cancel down to a value of a
+    few units, so they and their sum are evaluated with as many extra
+    digits as n log2(n) has; the result is rounded to ctx.digits.
     Raises StructuralZeroError when the pmf is zero; callers must screen.
     """
     _check_tail_domain(n, m, s)
@@ -150,78 +156,31 @@ def log_pmf(n: int, m: int, s: int, j: int, ctx: PrecisionContext,
     if j_lo == j_hi:
         # single-point support: the probability is exactly 1
         return _ZERO
-    tab = table or _default_table
-    with localcontext(ctx.context):
-        return (
-            tab.value(m, ctx) - tab.value(m - j, ctx)
-            + tab.value(n - m, ctx) - tab.value(n - m - s + j, ctx)
-            + tab.value(s, ctx) - tab.value(s - j, ctx)
-            - tab.value(j, ctx) - tab.value(n, ctx) + tab.value(n - s, ctx)
+    lnf = (table or _default_table)._value
+    wide = ctx.digits + len(str(n * n.bit_length()))
+    with localcontext(decimal_context(wide)):
+        lnp = (
+            lnf(m, wide) - lnf(m - j, wide)
+            + lnf(n - m, wide) - lnf(n - m - s + j, wide)
+            + lnf(s, wide) - lnf(s - j, wide)
+            - lnf(j, wide) - lnf(n, wide) + lnf(n - s, wide)
         )
-
-
-def log_term_step(n: int, m: int, s: int, j: int, ctx: PrecisionContext) -> Decimal:
-    """ln p(n, m, s, j+1) - ln p(n, m, s, j)."""
-    if j + 1 > m or j + 1 > s:
-        raise TermBoundaryError(f"term after j={j} is structurally zero")
-    if j < 0 or n - m - s + j + 1 <= 0:
-        raise DomainError(
-            f"step undefined at j={j}: term j is structurally zero"
-        )
-    d = ctx.digits
     with localcontext(ctx.context):
-        return (_ln_int(m - j, d) + _ln_int(s - j, d)
-                - _ln_int(j + 1, d) - _ln_int(n - m - s + j + 1, d))
+        return +lnp
 
 
 def left_tail_stirling(n: int, m: int, s: int, k: int, ctx: PrecisionContext,
                        table: Optional[LogFactorialTable] = None) -> Decimal:
-    """P(K <= k) summed from exponentiated log terms.
+    """P(K <= k) with absolute error within ctx.abs_error_target.
 
-    Anchored at the same index as the direct engine; the walks update the
-    log term with log_term_step, exponentiate, and stop below the
-    truncation threshold.  Error adds the Stirling series residual to the
-    context's target.
+    The anchor term, at the same index as the direct engine's, is the
+    exponential of log_pmf; the shared ratio walk sums the rest.
     """
-    _check_tail_domain(n, m, s)
-    if k < 0:
-        raise DomainError(f"tail index must be >= 0, got k={k}")
-    _check_feasible(ctx)
-    if m > n - (s - k):
-        return _ZERO
-    j_lo, j_hi = _support(n, m, s)
-    if k >= j_hi:
-        return _ONE
+    trivial = _trivial_tail(n, m, s, k, ctx)
+    if trivial is not None:
+        return trivial
     j0 = _anchor_index(n, m, s, k)
     lnp0 = log_pmf(n, m, s, j0, ctx, table=table)
-    d = ctx.digits
-    thr = ctx.trunc_threshold
     with localcontext(ctx.context):
         anchor = lnp0.exp()
-        down: list[Decimal] = []
-        lnp, j = lnp0, j0
-        while j > j_lo:
-            lnp -= (_ln_int(m - j + 1, d) + _ln_int(s - j + 1, d)
-                    - _ln_int(j, d) - _ln_int(n - m - s + j, d))
-            t = lnp.exp()
-            if t < thr:
-                break
-            down.append(t)
-            j -= 1
-        up: list[Decimal] = []
-        lnp, j = lnp0, j0
-        while j < k:
-            lnp += (_ln_int(m - j, d) + _ln_int(s - j, d)
-                    - _ln_int(j + 1, d) - _ln_int(n - m - s + j + 1, d))
-            t = lnp.exp()
-            if t < thr:
-                break
-            up.append(t)
-            j += 1
-        total = _ZERO
-        for t in reversed(down):
-            total += t
-        total += anchor
-        for t in reversed(up):
-            total += t
-        return total
+    return _walk_sum(n, m, s, k, j0, anchor, ctx)

@@ -11,12 +11,10 @@ from sketchbound import (
     LogFactorialTable,
     PrecisionContext,
     StructuralZeroError,
-    TermBoundaryError,
     left_tail_exact,
     left_tail_stirling,
     log_factorial,
     log_pmf,
-    log_term_step,
     pmf_exact,
 )
 from sketchbound.direct import left_tail_direct
@@ -53,6 +51,17 @@ def test_log_factorial_across_the_cutoff():
         with localcontext(decimal_context(45)):
             rel = abs(got - expect) / expect
         assert rel < Decimal("1e-14"), h
+
+
+def test_log_factorial_series_grows_with_digits():
+    # at 80 digits four correction terms leave 1/(1188 h^9) = 1e-17 at h = 40
+    import math
+
+    ctx = PrecisionContext.for_terms(80, 64)
+    for h in (39, 40, 41, 100, 2000):
+        with localcontext(decimal_context(100)):
+            expect = Decimal(math.factorial(h)).ln()
+            assert abs(log_factorial(h, ctx) - expect) < Decimal("1e-72"), h
 
 
 def test_log_factorial_negative_rejected():
@@ -120,26 +129,6 @@ def test_exp_log_pmf_matches_exact():
         checked += 1
 
 
-def test_log_term_step_examples():
-    got = log_term_step(10, 5, 4, 2, CTX)
-    with localcontext(decimal_context(30)):
-        expect = Decimal("0.5").ln()
-    assert abs(got - expect) < Decimal("1e-28")
-    got = log_term_step(10, 5, 4, 0, CTX)
-    with localcontext(decimal_context(30)):
-        expect = Decimal(10).ln()
-    assert abs(got - expect) < Decimal("1e-27")
-
-
-def test_log_term_step_boundary():
-    with pytest.raises(TermBoundaryError):
-        log_term_step(10, 3, 4, 3, CTX)   # m - j = 0, next term zero
-    with pytest.raises(TermBoundaryError):
-        log_term_step(10, 8, 4, 4, CTX)   # j = s
-    with pytest.raises(DomainError):
-        log_term_step(10, 8, 4, 0, CTX)   # current term structurally zero
-
-
 def test_left_tail_examples():
     t = left_tail_stirling(10, 5, 4, 1, CTX)
     assert abs(Fraction(t) - Fraction(55, 210)) < Fraction(1, 10**10)
@@ -191,3 +180,74 @@ def test_correctness_does_not_depend_on_memo():
     b = left_tail_stirling(500, 200, 60, 22, CTX, table=LogFactorialTable())
     c = left_tail_stirling(500, 200, 60, 22, CTX)
     assert a == b == c
+
+
+def test_default_table_cache_is_bounded():
+    from sketchbound import QueryInstance, stirling, upper_bound
+
+    cap = LogFactorialTable.MAX_CACHED
+    rng = random.Random(53)
+    for _ in range(60):
+        n = rng.randrange(10**6, 10**8)
+        s = rng.randrange(500, 2000)
+        k = rng.randrange(0, s)
+        upper_bound(QueryInstance(n, s, k, Fraction(1, 20)), "stirling")
+    # 60 bounds make more distinct values than the cap holds
+    assert len(stirling._default_table.cached_values) == cap
+
+    table = LogFactorialTable()
+    for h in range(10**6, 10**6 + cap + 1):
+        table.value(h, CTX)
+    assert len(table.cached_values) == cap
+    assert (10**6, CTX.digits) not in table.cached_values
+    assert (10**6 + cap, CTX.digits) in table.cached_values
+
+
+def _mp_left_tail(mpmath, n: int, m: int, s: int, k: int, digits: int):
+    """P(K <= k) in mpmath: a log-gamma anchor and the exact ratio walk."""
+    lo, hi = max(0, s - (n - m)), min(s, m)
+    with mpmath.workdps(digits):
+        if k < lo:
+            return mpmath.mpf(0)
+        if k >= hi:
+            return mpmath.mpf(1)
+        j0 = max(lo, min(k, (s + 1) * (m + 1) // (n + 2)))
+        lg = mpmath.loggamma
+        p0 = mpmath.exp(lg(m + 1) - lg(j0 + 1) - lg(m - j0 + 1)
+                        + lg(n - m + 1) - lg(s - j0 + 1) - lg(n - m - s + j0 + 1)
+                        - lg(n + 1) + lg(s + 1) + lg(n - s + 1))
+        eps = mpmath.mpf(10) ** -digits
+        total = p0
+        t, j = p0, j0
+        while j > lo and t > eps:
+            t = t * (j * (n - m - s + j)) / ((m - j + 1) * (s - j + 1))
+            total += t
+            j -= 1
+        t, j = p0, j0
+        while j < k and t > eps:
+            t = t * ((m - j) * (s - j)) / ((j + 1) * (n - m - s + j + 1))
+            total += t
+            j += 1
+        return total
+
+
+@pytest.mark.parametrize("n, s, k", [
+    (10**9, 10**5, 9 * 10**4),
+    (10**12, 10**5, 10**5 - 30),   # a factorial argument near the old fixed cutoff of 30
+    (10**12, 10**6, 100),
+])
+def test_certificate_tails_within_target_against_mpmath(n, s, k):
+    from sketchbound import QueryInstance, choose_precision, upper_bound
+
+    mpmath = pytest.importorskip("mpmath")
+    delta = Fraction(1, 20)
+    ctx = choose_precision(n, k, delta)
+    result = upper_bound(QueryInstance(n, s, k, delta), "stirling")
+    # the log pmf cancels about as many digits as n log2(n) has
+    digits = max(60, 2 * ctx.digits) + len(str(n * n.bit_length()))
+    with mpmath.workdps(digits):
+        target = mpmath.mpf(str(ctx.abs_error_target))
+        for m, tail in ((result.m_hat, result.tail_at_m_hat),
+                        (result.m_hat + 1, result.tail_at_m_hat_plus_1)):
+            ref = _mp_left_tail(mpmath, n, m, s, k, digits)
+            assert abs(mpmath.mpf(str(tail)) - ref) <= target, (m, tail, ref)
