@@ -10,8 +10,6 @@ returned bound is within one of the sharp value.
 
 from .coverage import CoverageReport, coverage_run, sample_successes
 from .direct import (
-    TermSequence,
-    anchor_term,
     balanced_product,
     left_tail_direct,
     pmf_direct,
@@ -76,9 +74,7 @@ __all__ = [
     "StructuralZeroError",
     "TailEngine",
     "TermBoundaryError",
-    "TermSequence",
     "adjust_delta",
-    "anchor_term",
     "balanced_product",
     "binom",
     "choose_precision",

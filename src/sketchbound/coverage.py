@@ -44,15 +44,12 @@ def sample_successes(n: int, m: int, s: int, rng: random.Random) -> int:
         raise DomainError(f"success count must satisfy 0 <= m <= n, got m={m}, n={n}")
     if not 1 <= s <= n:
         raise DomainError(f"sample size must satisfy 1 <= s <= n, got s={s}, n={n}")
-    hits = 0
-    remaining_m = m
-    remaining_n = n
-    for _ in range(s):
-        if rng.random() * remaining_n < remaining_m:
-            hits += 1
-            remaining_m -= 1
-        remaining_n -= 1
-    return hits
+    rand = rng.random
+    left = m  # successes not yet drawn
+    for remaining_n in range(n, n - s, -1):
+        if rand() * remaining_n < left:
+            left -= 1
+    return m - left
 
 
 def coverage_run(n: int, m: int, s: int, delta, trials: int, seed: int,

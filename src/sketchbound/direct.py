@@ -12,7 +12,6 @@ falls back to binary floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import chain
@@ -22,32 +21,11 @@ from .model import (
     DomainError,
     PrecisionContext,
     PrecisionInfeasibleError,
-    StructuralZeroError,
     TermBoundaryError,
 )
 
 _ONE = Decimal(1)
 _ZERO = Decimal(0)
-
-
-@dataclass(frozen=True)
-class TermSequence:
-    """Anchor term of a truncated tail sum and the walks hanging off it.
-
-    The anchor is the largest term of the sum; `direction` names the
-    outward walks that actually have terms to visit ("down" toward the
-    support bottom, "up" toward the tail index).
-    """
-
-    anchor_j: int
-    anchor_value: Decimal
-    direction: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.anchor_j < 0:
-            raise DomainError("anchor index must be a count")
-        if not self.anchor_value >= 0:
-            raise DomainError("anchor term cannot be negative")
 
 
 def _check_tail_domain(n: int, m: int, s: int) -> None:
@@ -155,24 +133,6 @@ def _anchor_index(n: int, m: int, s: int, k: int) -> int:
     j_lo, j_hi = _support(n, m, s)
     mode = (s + 1) * (m + 1) // (n + 2)
     return max(j_lo, min(k, mode, j_hi))
-
-
-def anchor_term(n: int, m: int, s: int, k: int, ctx: PrecisionContext) -> TermSequence:
-    """Evaluate the largest term of the tail sum from scratch.
-
-    Raises StructuralZeroError when the tail has no terms at all
-    (m > n - (s - k)); callers screen that case first.
-    """
-    if m > n - (s - k):
-        raise StructuralZeroError(f"tail(n={n}, m={m}, s={s}, k={k}) has no terms")
-    j_lo, _ = _support(n, m, s)
-    j0 = _anchor_index(n, m, s, k)
-    direction = ()
-    if j0 > j_lo:
-        direction += ("down",)
-    if j0 < k:
-        direction += ("up",)
-    return TermSequence(j0, pmf_direct(n, m, s, j0, ctx), direction)
 
 
 def left_tail_direct(n: int, m: int, s: int, k: int, ctx: PrecisionContext) -> Decimal:

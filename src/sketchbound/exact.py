@@ -4,6 +4,14 @@ Everything here is computed with arbitrary-precision integers and reduced
 fractions, and serves as the ground truth the floating tail engines are
 tested against.  A size guard keeps the oracle honest about what it is for:
 fast, trustworthy answers on instances small enough to verify.
+
+A tail numerator sums C(m, i) * C(n-m, s-i) over whichever side of k has
+fewer support points; the other side follows from Vandermonde's identity,
+the full sum being C(n, s).  Each run of terms takes one pair of `math.comb`
+calls for its first term and steps to the next with the exact two-term
+ratio in integers, so every tail is the same exact rational as the literal
+sum.  Right tails are left tails of the complementary count,
+P(K >= k) = P(s - K <= s - k) with s - K hypergeometric(n, n-m, s).
 """
 
 from __future__ import annotations
@@ -49,14 +57,33 @@ def pmf_exact(n: int, m: int, s: int, j: int,
     return Fraction(binom(m, j) * binom(n - m, s - j), binom(n, s))
 
 
-def _tail_numerator(n: int, m: int, s: int, k: int) -> int:
-    """Sum of C(m,i) * C(n-m, s-i) for i = 0..k; denominator is C(n, s)."""
-    lo = max(0, s - (n - m))
-    hi = min(k, m, s)
-    total = 0
-    for i in range(lo, hi + 1):
-        total += math.comb(m, i) * math.comb(n - m, s - i)
+def _run_sum(n: int, m: int, s: int, a: int, b: int) -> int:
+    """Sum of C(m,i) * C(n-m, s-i) for i = a..b, every i inside the support."""
+    t = math.comb(m, a) * math.comb(n - m, s - a)
+    total = t
+    r = n - m - s + 1
+    for i in range(a, b):
+        # exact: t and the next term are both integers
+        t = t * (m - i) * (s - i) // ((i + 1) * (r + i))
+        total += t
     return total
+
+
+def _tail_numerator(n: int, m: int, s: int, k: int, total: int) -> int:
+    """Sum of C(m,i) * C(n-m, s-i) for i = 0..k, given total = C(n, s).
+
+    Sums the side of k with fewer support points; the upper side is
+    subtracted from the full sum.
+    """
+    lo = max(0, s - (n - m))
+    hi = min(m, s)
+    if k < lo:
+        return 0
+    if k >= hi:
+        return total
+    if k - lo < hi - k:
+        return _run_sum(n, m, s, lo, k)
+    return total - _run_sum(n, m, s, k + 1, hi)
 
 
 def left_tail_exact(n: int, m: int, s: int, k: int,
@@ -66,20 +93,20 @@ def left_tail_exact(n: int, m: int, s: int, k: int,
     if k < 0:
         raise DomainError(f"tail index must be >= 0, got k={k}")
     _check_limit(n, max_n)
-    return Fraction(_tail_numerator(n, m, s, k), math.comb(n, s))
+    total = math.comb(n, s)
+    return Fraction(_tail_numerator(n, m, s, k, total), total)
 
 
 def right_tail_exact(n: int, m: int, s: int, k: int,
                      max_n: int | None = DEFAULT_ORACLE_LIMIT) -> Fraction:
-    """P(K >= k), exact.  Empty sums (m < k) are zero."""
+    """P(K >= k), exact, as P(s - K <= s - k).  Empty sums (k > min(s, m)) are zero."""
     _check_pmf_domain(n, m, s)
     if k < 0:
         raise DomainError(f"tail index must be >= 0, got k={k}")
     _check_limit(n, max_n)
-    total = 0
-    for i in range(k, min(s, m) + 1):
-        total += math.comb(m, i) * math.comb(n - m, s - i)
-    return Fraction(total, math.comb(n, s))
+    if k > s:
+        return Fraction(0)
+    return left_tail_exact(n, n - m, s, s - k, max_n=None)
 
 
 def upper_bound_exact(instance: QueryInstance,
@@ -100,13 +127,13 @@ def upper_bound_exact(instance: QueryInstance,
     total = math.comb(n, s)
     if exhaustive:
         for m in range(n, -1, -1):
-            if _tail_numerator(n, m, s, k) * dd >= dn * total:
+            if _tail_numerator(n, m, s, k, total) * dd >= dn * total:
                 return m
         raise AssertionError("left tail at m=0 is 1, which always qualifies")
     lo, hi = 0, n  # tail(0) = 1 >= delta; tail(n) = 0 < delta since k < s
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _tail_numerator(n, mid, s, k) * dd >= dn * total:
+        if _tail_numerator(n, mid, s, k, total) * dd >= dn * total:
             lo = mid
         else:
             hi = mid

@@ -1,4 +1,11 @@
-"""Shared test plumbing: a per-criterion summary for the acceptance suite."""
+"""Shared test plumbing: a repeatable hypothesis profile and a per-criterion
+summary for the acceptance suite."""
+
+from hypothesis import settings
+
+# Same examples on every run; no per-example deadline on a loaded machine.
+settings.register_profile("sketchbound", derandomize=True, deadline=None)
+settings.load_profile("sketchbound")
 
 _acceptance_outcomes: dict[str, str] = {}
 

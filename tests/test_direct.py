@@ -132,21 +132,17 @@ def test_term_ratio_boundary_signals():
         term_ratio(10, 5, 4, -1)
 
 
-def test_anchor_term_plans():
-    from sketchbound import StructuralZeroError, anchor_term
+def test_anchor_index_at_largest_term():
+    from sketchbound.direct import _anchor_index
 
-    plan = anchor_term(1000, 700, 100, 60, CTX)
-    assert 0 <= plan.anchor_j <= 60
-    assert plan.anchor_value > 0
-    assert plan.direction == ("down",)  # mode above k: nothing to walk up
     # the anchor really is the largest term of the truncated sum
-    peak = Fraction(plan.anchor_value)
-    for j in range(0, 61):
-        assert peak >= pmf_exact(1000, 700, 100, j) * Fraction(10**20 - 1, 10**20)
-    plan = anchor_term(1000, 300, 100, 60, CTX)
-    assert plan.direction == ("down", "up")  # mode near 30, both walks live
-    with pytest.raises(StructuralZeroError):
-        anchor_term(10, 8, 4, 1, CTX)  # tail structurally empty
+    for m, k in [(700, 60), (300, 60), (50, 0), (999, 99)]:
+        j0 = _anchor_index(1000, m, 100, k)
+        assert 0 <= j0 <= k
+        peak = pmf_exact(1000, m, 100, j0)
+        assert all(peak >= pmf_exact(1000, m, 100, j) for j in range(0, k + 1))
+    assert _anchor_index(1000, 700, 100, 60) == 60  # mode above k anchors at k
+    assert 0 < _anchor_index(1000, 300, 100, 60) < 60  # mode near 30, both walks live
 
 
 def test_left_tail_examples():

@@ -6,7 +6,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from sketchbound import exact
 from sketchbound import (
     DomainError,
     OracleLimitError,
@@ -77,6 +80,8 @@ def test_left_tail_examples():
 
 def test_right_tail_examples():
     assert right_tail_exact(10, 5, 4, 0) == 1
+    assert right_tail_exact(10, 0, 4, 0) == 1
+    assert right_tail_exact(10, 10, 10, 10) == 1
     assert right_tail_exact(10, 5, 4, 2) == Fraction(155, 210)
     assert right_tail_exact(10, 5, 4, 4) == Fraction(5, 210)
 
@@ -84,6 +89,9 @@ def test_right_tail_examples():
 def test_right_tail_empty_sum_is_zero():
     # m < k leaves no support at or above k
     assert right_tail_exact(10, 2, 4, 3) == 0
+    # nor does k > s, even with m >= k
+    assert right_tail_exact(10, 10, 4, 5) == 0
+    assert right_tail_exact(10, 5, 4, 9) == 0
 
 
 def test_pmf_sums_to_one():
@@ -200,3 +208,95 @@ def test_oracle_size_guard():
     # configurable: lifting the guard makes the same call work
     assert left_tail_exact(20_001, 10, 5, 2, max_n=None) > 0
     assert pmf_exact(12_000, 6000, 4, 2, max_n=20_000) > 0
+
+
+# ---------------------------------------------------------------- kernel
+# The tail kernel sums the shorter side of k with an integer ratio step;
+# every value must equal the literal sum of binomial products.
+
+
+def literal_left(n, m, s, k):
+    return sum(math.comb(m, i) * math.comb(n - m, s - i) for i in range(0, min(k, s) + 1))
+
+
+def literal_right(n, m, s, k):
+    return sum(math.comb(m, i) * math.comb(n - m, s - i) for i in range(k, min(m, s) + 1))
+
+
+def assert_kernel_matches(n, m, s, k):
+    total = math.comb(n, s)
+    left = literal_left(n, m, s, k)
+    assert exact._tail_numerator(n, m, s, k, total) == left
+    assert left_tail_exact(n, m, s, k, max_n=None) == Fraction(left, total)
+    assert right_tail_exact(n, m, s, k, max_n=None) == Fraction(literal_right(n, m, s, k), total)
+
+
+@st.composite
+def tail_args(draw):
+    n = draw(st.integers(1, 120))
+    m = draw(st.integers(0, n))
+    s = draw(st.integers(1, n))
+    k = draw(st.integers(0, s + 2))
+    return n, m, s, k
+
+
+@given(tail_args())
+def test_kernel_matches_literal_sum(args):
+    assert_kernel_matches(*args)
+
+
+def test_kernel_support_edges():
+    n, m, s = 30, 22, 12  # support 4..12
+    assert exact._tail_numerator(n, m, s, 3, math.comb(n, s)) == 0  # k < lo
+    assert left_tail_exact(n, m, s, 0) == 0
+    assert exact._tail_numerator(n, m, s, 12, math.comb(n, s)) == math.comb(n, s)  # k >= hi
+    assert left_tail_exact(n, 5, s, 5) == 1  # hi = m < s
+    for k in range(0, s + 3):
+        assert_kernel_matches(n, m, s, k)
+
+
+def test_kernel_shorter_side_switch(monkeypatch):
+    runs = []
+    run_sum = exact._run_sum
+
+    def recording(n_, m_, s_, a, b):
+        runs.append((a, b))
+        return run_sum(n_, m_, s_, a, b)
+
+    monkeypatch.setattr(exact, "_run_sum", recording)
+    # support 0..s: the lower run has k+1 terms, the upper run s-k
+    expected_runs = {
+        9: {3: (0, 3), 4: (0, 4), 5: (6, 9), 6: (7, 9)},  # k = 4 is the tie, 5 terms each
+        10: {4: (0, 4), 5: (6, 10)},  # k = 5: 6 terms below, 5 above
+    }
+    for s, by_k in expected_runs.items():
+        for k, run in by_k.items():
+            runs.clear()
+            assert_kernel_matches(20, 10, s, k)
+            assert runs[0] == run
+
+
+def test_kernel_degenerate_populations():
+    for n in (1, 7, 40):
+        for s in range(1, n + 1):
+            for k in range(0, s + 2):
+                for m in (0, n):
+                    assert_kernel_matches(n, m, s, k)
+        for m in range(0, n + 1):
+            for k in range(0, n + 2):
+                assert_kernel_matches(n, m, n, k)  # s = n: K = m surely
+    assert left_tail_exact(40, 0, 10, 0) == 1
+    assert left_tail_exact(40, 40, 10, 9) == 0
+
+
+@pytest.mark.parametrize("n, m, s, ks", [
+    (2_500, 500, 150, (0, 12, 30, 45, 149)),
+    (2_450, 2_150, 154, (110, 140)),
+    (4_000, 200, 250, (3, 12, 20, 249)),
+    (3_900, 250, 243, (20, 40)),
+    (9_000, 36, 600, (0, 2, 10, 35)),
+    (9_200, 8_900, 600, (560, 590)),
+])
+def test_kernel_on_coverage_shaped_instances(n, m, s, ks):
+    for k in ks:
+        assert_kernel_matches(n, m, s, k)
