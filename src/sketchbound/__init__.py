@@ -3,18 +3,13 @@
 Given that k of s uniformly sampled items satisfy a condition in a
 population of n, compute the largest and smallest success counts m whose
 hypergeometric tail probability still meets a failure budget delta.  Tails
-can be evaluated by exact rational arithmetic (small n), direct balanced
+can be evaluated by exact rational arithmetic (small n), direct integer
 products, or a log-space Stirling series, with precision chosen so the
 returned bound is within one of the sharp value.
 """
 
 from .coverage import CoverageReport, coverage_run, sample_successes
-from .direct import (
-    balanced_product,
-    left_tail_direct,
-    pmf_direct,
-    term_ratio,
-)
+from .direct import left_tail_direct, pmf_direct
 from .exact import (
     ExactRational,
     binom,
@@ -33,7 +28,6 @@ from .model import (
     QueryInstance,
     StructuralZeroError,
     TailEngine,
-    TermBoundaryError,
 )
 from .solver import (
     MultiplicityPolicy,
@@ -73,9 +67,7 @@ __all__ = [
     "SearchBracket",
     "StructuralZeroError",
     "TailEngine",
-    "TermBoundaryError",
     "adjust_delta",
-    "balanced_product",
     "binom",
     "choose_precision",
     "coverage_run",
@@ -97,7 +89,6 @@ __all__ = [
     "sample_successes",
     "start_high",
     "start_low",
-    "term_ratio",
     "upper_bound",
     "upper_bound_exact",
 ]

@@ -1,31 +1,33 @@
 """Left-tail evaluation by direct combinatorial products.
 
-The anchor term is evaluated as one big ratio of integer factor lists with
-an interleaved multiply/divide schedule that keeps the running value near 1,
-so no intermediate ever approaches overflow or underflow.  Neighboring terms
-follow from the anchor through the two-term ratio recurrence, and terms too
-small to matter are dropped.
+The anchor term p(j) = T(m, j) T(n-m, s-j) C(s, j) / T(n, s), with T(a, b)
+the falling factorial a(a-1)...(a-b+1), is built from exact integer chunks
+folded into binary mantissas that are truncated to a fixed width after each
+chunk.  One integer division of the two mantissas and one rounding into the
+caller's decimal context finish it, so the anchor is within one unit in the
+last place at any s.  Neighboring terms follow from the anchor through the
+two-term ratio recurrence, and terms too small to matter are dropped.
 
-All arithmetic runs in the caller's decimal context; nothing here ever
-falls back to binary floats.
+Nothing here ever falls back to binary floats.
 """
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal, localcontext
-from fractions import Fraction
-from itertools import chain
-from typing import Iterable
+from functools import lru_cache
 
 from .model import (
     DomainError,
     PrecisionContext,
     PrecisionInfeasibleError,
-    TermBoundaryError,
+    decimal_context,
 )
 
 _ONE = Decimal(1)
 _ZERO = Decimal(0)
+_CHUNK = 16  # factors per exact integer chunk of a falling product
+_GUARD_DIGITS = 5  # extra digits for the power of two that scales the quotient
 
 
 def _check_tail_domain(n: int, m: int, s: int) -> None:
@@ -44,83 +46,52 @@ def _check_feasible(ctx: PrecisionContext) -> None:
         )
 
 
-def balanced_product(numer_terms: Iterable[int], denom_terms: Iterable[int],
-                     ctx: PrecisionContext, _trace: list | None = None) -> Decimal:
-    """Product of numerator terms over product of denominator terms.
+def _falling(a: int, b: int, bits: int, v: int = 1, e: int = 0) -> tuple[int, int]:
+    """(v * 2**e) * T(a, b) as a mantissa of at most `bits` bits and an exponent.
 
-    Multiplies by a numerator term while the running value is below 1 (or
-    once denominators run out), divides by a denominator term otherwise.
-    `_trace` collects every intermediate value for the range-safety tests.
+    T(a, b) is multiplied in exact chunks of _CHUNK factors; the mantissa is
+    truncated after each chunk, which loses less than 2**(1-bits) relative
+    (nothing while the product still fits).
     """
-    with localcontext(ctx.context):
-        v = _ONE
-        den = iter(denom_terms)
-        d = next(den, None)
-        if _trace is None:
-            for t in numer_terms:
-                while v >= _ONE and d is not None:
-                    if d == 0:
-                        raise DomainError("zero denominator term")
-                    v /= d
-                    d = next(den, None)
-                v *= t
-            while d is not None:
-                if d == 0:
-                    raise DomainError("zero denominator term")
-                v /= d
-                d = next(den, None)
-        else:
-            for t in numer_terms:
-                while v >= _ONE and d is not None:
-                    if d == 0:
-                        raise DomainError("zero denominator term")
-                    v /= d
-                    _trace.append(v)
-                    d = next(den, None)
-                v *= t
-                _trace.append(v)
-            while d is not None:
-                if d == 0:
-                    raise DomainError("zero denominator term")
-                v /= d
-                _trace.append(v)
-                d = next(den, None)
-        return v
+    stop = a - b
+    for hi in range(a, stop, -_CHUNK):
+        v *= math.perm(hi, min(_CHUNK, hi - stop))
+        x = v.bit_length() - bits
+        if x > 0:
+            v >>= x
+            e += x
+    return v, e
 
 
-def pmf_direct(n: int, m: int, s: int, j: int, ctx: PrecisionContext,
-               _trace: list | None = None) -> Decimal:
-    """P(K = j) via the falling-factorial expansion and the interleaved product.
+# T(n, s) depends only on (n, s, bits): every tail evaluation of a solve and
+# every condition of a batch file at one digit count shares it.
+_falling_cached = lru_cache(maxsize=16)(_falling)
 
-    Numerator factors: the j factors of T(m, j), the s-j factors of
-    T(n-m, s-j), the j factors of T(s, j).  Denominator factors: the j
-    factors of j!, the s factors of T(n, s).
+
+def pmf_direct(n: int, m: int, s: int, j: int, ctx: PrecisionContext) -> Decimal:
+    """P(K = j) = T(m, j) T(n-m, s-j) C(s, j) / T(n, s), rounded once into ctx.
+
+    C(s, j) is T(s, c) / c! with c = min(j, s-j).  Numerator and denominator
+    are mantissas of B = 4 (digits + 2) + bitlen(s) + 4 bits.  At most
+    3s/16 + 5 chunks truncate and the integer division floors once more;
+    together they lose less than 8s * 2**(1-B) <= 16**-(digits+2) relative.
+    The power of two is taken at ctx.digits + 5 digits, which adds at most
+    10**-(digits+4).  The result is therefore within one unit in the last
+    place at ctx.digits (half a unit from the final rounding plus under a
+    hundredth), independent of s.
     """
     _check_tail_domain(n, m, s)
     if j < 0 or j > s or j > m or s - j > n - m:
         return _ZERO
-    numer = chain(
-        range(m, m - j, -1),
-        range(n - m, n - m - (s - j), -1),
-        range(s, s - j, -1),
-    )
-    denom = chain(range(1, j + 1), range(n, n - s, -1))
-    return balanced_product(numer, denom, ctx, _trace=_trace)
-
-
-def term_ratio(n: int, m: int, s: int, j: int) -> Fraction:
-    """p(n, m, s, j+1) / p(n, m, s, j), exact.
-
-    Raises TermBoundaryError when the next term is structurally zero, and
-    DomainError when the current term already is.
-    """
-    if j + 1 > m or j + 1 > s:
-        raise TermBoundaryError(f"term after j={j} is structurally zero")
-    if j < 0 or n - m - s + j + 1 <= 0:
-        raise DomainError(
-            f"ratio undefined at j={j}: term j is structurally zero"
-        )
-    return Fraction((m - j) * (s - j), (j + 1) * (n - m - s + j + 1))
+    bits = 4 * (ctx.digits + 2) + s.bit_length() + 4
+    c = min(j, s - j)
+    v, e = _falling(m, j, bits)
+    v, e = _falling(n - m, s - j, bits, v, e)
+    v, e = _falling(s, c, bits, v, e)
+    d, f = _falling(c, c, bits, *_falling_cached(n, s, bits))
+    shift = bits + d.bit_length()
+    scale = decimal_context(ctx.digits + _GUARD_DIGITS).power(2, e - f - shift)
+    return ctx.context.multiply((v << shift) // d, scale)
 
 
 def _support(n: int, m: int, s: int) -> tuple[int, int]:

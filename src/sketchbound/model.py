@@ -35,10 +35,6 @@ class StructuralZeroError(ArithmeticError):
     """Log of a structurally zero probability was requested."""
 
 
-class TermBoundaryError(ArithmeticError):
-    """Ratio step would cross into the structurally zero region."""
-
-
 class TailEngine(enum.Enum):
     """Strategy used to evaluate hypergeometric tails."""
 

@@ -2,8 +2,8 @@
 
 The per-criterion pass/fail summary is printed by the conftest hook at the
 end of the run.  Criterion 1 reproduces the trillion-item result: the
-Stirling half takes about a second, while the direct half takes minutes
-and is opt-in via SKETCHBOUND_SLOW=1.
+Stirling half takes about a second, while the direct half takes about
+150 s (both sides, 2-vCPU VM) and is opt-in via SKETCHBOUND_SLOW=1.
 """
 
 import json
@@ -66,7 +66,7 @@ def test_criterion_1_paper_reproduction_stirling():
 @slow
 @pytest.mark.slow
 def test_criterion_1_paper_reproduction_direct():
-    # the direct engine's O(s) anchor still takes minutes here
+    # about 150 s for both sides on a 2-vCPU VM: each of the ~60 anchors is O(s)
     _reproduce_flagship(TailEngine.DIRECT)
 
 

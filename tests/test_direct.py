@@ -1,25 +1,28 @@
-"""Direct engine: interleaved products, ratio walks, truncation."""
+"""Direct engine: falling-product anchors, ratio walks, truncation."""
 
+import math
 import os
 import random
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sketchbound import (
     DomainError,
     PrecisionContext,
     PrecisionInfeasibleError,
-    TermBoundaryError,
-    balanced_product,
+    QueryInstance,
+    choose_precision,
     left_tail_exact,
     log_pmf,
     pmf_direct,
     pmf_exact,
-    term_ratio,
+    upper_bound,
 )
-from sketchbound.direct import left_tail_direct
+from sketchbound.direct import _falling, left_tail_direct
 
 slow = pytest.mark.skipif(
     not os.environ.get("SKETCHBOUND_SLOW"),
@@ -34,43 +37,30 @@ def as_frac(value: Decimal) -> Fraction:
 
 
 def test_balanced_product_examples():
-    assert balanced_product([2, 3], [6], CTX) == 1
-    assert balanced_product([], [], CTX) == 1
-    assert balanced_product([7], [], CTX) == 7
-    assert balanced_product([], [4], CTX) == Decimal("0.25")
+    # falling products T(a, b) as (mantissa, exponent), exact while they fit
+    assert _falling(5, 2, 64) == (20, 0)
+    assert _falling(7, 0, 64) == (1, 0)
+    assert _falling(10, 10, 64) == (math.factorial(10), 0)
+    assert _falling(40, 33, 300) == (math.perm(40, 33), 0)  # three chunks
+    assert _falling(4, 2, 64, *_falling(5, 2, 64)) == (240, 0)
+    # past the width: truncated from below, within chunks * 2**(1-bits)
+    exact = math.perm(1000, 200)
+    v, e = _falling(1000, 200, 48)
+    assert v.bit_length() == 48
+    assert v << e <= exact
+    assert exact - (v << e) < exact * 13 * Fraction(2, 2**48)
 
 
 def test_balanced_product_rejects_zero_denominator():
+    # T(n, s) = 0 exactly when s > n, which the domain check rejects
     with pytest.raises(DomainError):
-        balanced_product([3], [0], CTX)
+        pmf_direct(3, 1, 4, 1, CTX)
 
 
 def test_balanced_product_reproduces_pmf():
-    # term lists for p(10, 5, 4, 2): T(5,2) T(5,2) T(4,2) / (2! T(10,4))
-    numer = [5, 4, 5, 4, 4, 3]
-    denom = [1, 2, 10, 9, 8, 7]
-    v = balanced_product(numer, denom, CTX)
-    assert abs(as_frac(v) - Fraction(100, 210)) < Fraction(1, 10**25)
-
-
-def test_balanced_product_running_value_stays_representable():
-    # the interleave must keep intermediates far from the context limits
-    import math
-
-    cases = [
-        (10**6, 700_000, 2_000, 1_400),
-        (5_000, 100, 400, 10),
-        (97, 42, 31, 13),
-    ]
-    for n, m, s, j in cases:
-        trace: list[Decimal] = []
-        p = pmf_direct(n, m, s, j, CTX, _trace=trace)
-        assert p > 0
-        lo_bound = min(math.log10(float(as_frac(p))) - 15, -15)
-        hi_bound = math.log10(n) + 15
-        for v in trace:
-            assert v.is_finite() and v > 0
-            assert lo_bound <= float(v.log10()) <= hi_bound
+    # p(10, 5, 4, 2) = T(5,2) T(5,2) T(4,2) / (2! T(10,4)) = 4800 / 10080
+    v = pmf_direct(10, 5, 4, 2, CTX)
+    assert abs(as_frac(v) - Fraction(10, 21)) <= Fraction(10, 21) / 10**29
 
 
 def test_pmf_direct_matches_exact():
@@ -103,33 +93,63 @@ def test_pmf_direct_rejects_bad_domains():
         pmf_direct(10, 5, 0, 0, CTX)
 
 
-def test_term_ratio_examples():
-    assert term_ratio(10, 5, 4, 2) == Fraction(1, 2)
-    assert term_ratio(10, 5, 4, 0) == 10
-    # against the exact pmf ratio on random nonzero neighbors
-    rng = random.Random(29)
-    for _ in range(80):
-        n = rng.randrange(2, 60)
-        m = rng.randrange(1, n + 1)
-        s = rng.randrange(1, n + 1)
-        j_lo = max(0, s - (n - m))
-        j_hi = min(s, m)
-        if j_hi <= j_lo:
-            continue
-        j = rng.randrange(j_lo, j_hi)
-        expect = pmf_exact(n, m, s, j + 1) / pmf_exact(n, m, s, j)
-        assert term_ratio(n, m, s, j) == expect
+@st.composite
+def pmf_args(draw):
+    n = draw(st.integers(1, 400))
+    m = draw(st.integers(0, n))
+    s = draw(st.integers(1, n))
+    lo, hi = max(0, s - (n - m)), min(s, m)
+    j = draw(st.sampled_from([0, s, lo, hi]) | st.integers(lo, hi))
+    return n, m, s, j, draw(st.integers(16, 40))
 
 
-def test_term_ratio_boundary_signals():
-    with pytest.raises(TermBoundaryError):
-        term_ratio(10, 3, 4, 3)  # j = m, next term zero
-    with pytest.raises(TermBoundaryError):
-        term_ratio(10, 8, 4, 4)  # j = s
-    with pytest.raises(DomainError):
-        term_ratio(10, 8, 4, 0)  # current term already structurally zero
-    with pytest.raises(DomainError):
-        term_ratio(10, 5, 4, -1)
+@given(pmf_args())
+def test_pmf_direct_within_one_ulp_of_exact(args):
+    n, m, s, j, digits = args
+    got = as_frac(pmf_direct(n, m, s, j, PrecisionContext.for_terms(digits, s + 1)))
+    expect = pmf_exact(n, m, s, j)
+    assert abs(got - expect) <= expect / 10 ** (digits - 1)
+
+
+def _exact_pmf(n: int, m: int, s: int, j: int) -> Fraction:
+    return Fraction(math.comb(m, j) * math.comb(n - m, s - j), math.comb(n, s))
+
+
+@pytest.mark.parametrize("n", [10**7, 3 * 10**7, 10**8])
+@pytest.mark.parametrize("s", [5000, 7000, 10000])
+def test_pmf_direct_batch_shaped_anchors_within_one_ulp(n, s):
+    # the anchors of batch-file bounds: j at k = 0.9 s near the upper bound,
+    # and at the mode of a population whose mode lies below k
+    k = 9 * s // 10
+    ctx = choose_precision(n, k, Fraction(1, 20))
+    for m, j in [(n * 9 // 10, k), (n // 10, (s + 1) * (n // 10 + 1) // (n + 2))]:
+        expect = _exact_pmf(n, m, s, j)
+        got = as_frac(pmf_direct(n, m, s, j, ctx))
+        assert abs(got - expect) <= expect / 10 ** (ctx.digits - 1), (m, j)
+
+
+def test_pmf_direct_tiny_anchor_within_one_ulp():
+    n, m, s, j = 10**6, 10**5, 10**4, 9000
+    ctx = PrecisionContext.for_terms(25, s + 1)
+    expect = _exact_pmf(n, m, s, j)
+    assert expect < Fraction(1, 10**1000)
+    got = as_frac(pmf_direct(n, m, s, j, ctx))
+    assert abs(got - expect) <= expect / 10 ** (ctx.digits - 1)
+
+
+def test_left_tail_direct_within_target_against_mpmath(mp_left_tail):
+    import mpmath
+
+    n, s, k, delta = 10**9, 10**5, 9 * 10**4, Fraction(1, 20)
+    ctx = choose_precision(n, k, delta)
+    result = upper_bound(QueryInstance(n, s, k, delta), "direct")
+    digits = 2 * ctx.digits + 20
+    with mpmath.workdps(digits):
+        target = mpmath.mpf(str(ctx.abs_error_target))
+        for m, tail in ((result.m_hat, result.tail_at_m_hat),
+                        (result.m_hat + 1, result.tail_at_m_hat_plus_1)):
+            ref = mp_left_tail(n, m, s, k, digits)
+            assert abs(mpmath.mpf(str(tail)) - ref) <= target, (m, tail, ref)
 
 
 def test_anchor_index_at_largest_term():

@@ -203,40 +203,12 @@ def test_default_table_cache_is_bounded():
     assert (10**6 + cap, CTX.digits) in table.cached_values
 
 
-def _mp_left_tail(mpmath, n: int, m: int, s: int, k: int, digits: int):
-    """P(K <= k) in mpmath: a log-gamma anchor and the exact ratio walk."""
-    lo, hi = max(0, s - (n - m)), min(s, m)
-    with mpmath.workdps(digits):
-        if k < lo:
-            return mpmath.mpf(0)
-        if k >= hi:
-            return mpmath.mpf(1)
-        j0 = max(lo, min(k, (s + 1) * (m + 1) // (n + 2)))
-        lg = mpmath.loggamma
-        p0 = mpmath.exp(lg(m + 1) - lg(j0 + 1) - lg(m - j0 + 1)
-                        + lg(n - m + 1) - lg(s - j0 + 1) - lg(n - m - s + j0 + 1)
-                        - lg(n + 1) + lg(s + 1) + lg(n - s + 1))
-        eps = mpmath.mpf(10) ** -digits
-        total = p0
-        t, j = p0, j0
-        while j > lo and t > eps:
-            t = t * (j * (n - m - s + j)) / ((m - j + 1) * (s - j + 1))
-            total += t
-            j -= 1
-        t, j = p0, j0
-        while j < k and t > eps:
-            t = t * ((m - j) * (s - j)) / ((j + 1) * (n - m - s + j + 1))
-            total += t
-            j += 1
-        return total
-
-
 @pytest.mark.parametrize("n, s, k", [
     (10**9, 10**5, 9 * 10**4),
     (10**12, 10**5, 10**5 - 30),   # a factorial argument near the old fixed cutoff of 30
     (10**12, 10**6, 100),
 ])
-def test_certificate_tails_within_target_against_mpmath(n, s, k):
+def test_certificate_tails_within_target_against_mpmath(n, s, k, mp_left_tail):
     from sketchbound import QueryInstance, choose_precision, upper_bound
 
     mpmath = pytest.importorskip("mpmath")
@@ -249,5 +221,5 @@ def test_certificate_tails_within_target_against_mpmath(n, s, k):
         target = mpmath.mpf(str(ctx.abs_error_target))
         for m, tail in ((result.m_hat, result.tail_at_m_hat),
                         (result.m_hat + 1, result.tail_at_m_hat_plus_1)):
-            ref = _mp_left_tail(mpmath, n, m, s, k, digits)
+            ref = mp_left_tail(n, m, s, k, digits)
             assert abs(mpmath.mpf(str(tail)) - ref) <= target, (m, tail, ref)
