@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -28,16 +27,7 @@ from .model import (
     as_fraction,
     decimal_context,
 )
-from .solver import (
-    MultiplicityPolicy,
-    adjust_delta,
-    choose_precision,
-    left_tail,
-    resolve_engine,
-    right_tail,
-    lower_bound,
-    upper_bound,
-)
+from .solver import left_tail, lower_bound, resolve_engine, right_tail, upper_bound
 
 MAX_COUNT = 10**18
 _JSON_INT_MAX = 2**53
@@ -102,7 +92,8 @@ def _tail_str(value, digits: int) -> str:
     return str(value)
 
 
-def _bound_payload(instance: QueryInstance, result: BoundResult, digits: int) -> dict:
+def _bound_payload(instance: QueryInstance, result: BoundResult) -> dict:
+    digits = result.digits
     return {
         "n": _json_int(instance.n),
         "s": _json_int(instance.s),
@@ -118,7 +109,8 @@ def _bound_payload(instance: QueryInstance, result: BoundResult, digits: int) ->
     }
 
 
-def _print_bound_text(instance: QueryInstance, result: BoundResult, digits: int) -> None:
+def _print_bound_text(result: BoundResult) -> None:
+    digits = result.digits
     print(f"{result.side} bound: {result.m_hat}")
     print(f"  engine={result.engine} digits={digits} "
           f"delta={_fraction_str(result.delta_used, digits)} iterations={result.iterations}")
@@ -126,36 +118,26 @@ def _print_bound_text(instance: QueryInstance, result: BoundResult, digits: int)
           f"tail_lo={_tail_str(result.tail_at_m_hat_plus_1, digits)}")
 
 
-def _context_pair(n: int, s: int, k: int, delta: Fraction,
-                  digits: int | None) -> tuple[PrecisionContext, PrecisionContext]:
-    """Contexts for the upper search and the dual (lower) search."""
-    return (choose_precision(n, k, delta, digits=digits),
-            choose_precision(n, s - k, delta, digits=digits))
-
-
 def _cmd_bound(args) -> int:
     delta = args.delta
     if args.sides == "both" and not args.no_bonferroni:
-        delta_side = adjust_delta(delta, MultiplicityPolicy(two_sided=True))
-    else:
-        delta_side = delta
-    instance = QueryInstance(args.n, args.s, args.k, delta_side)
+        # union bound: the two one-sided statements share delta
+        delta = delta / 2
+    instance = QueryInstance(args.n, args.s, args.k, delta)
     engine = resolve_engine(args.engine, args.n)
     digits = _digits_or_env(args)
-    ctx_up, ctx_down = _context_pair(args.n, args.s, args.k, delta_side, digits)
 
     results = []
     if args.sides in ("upper", "both"):
-        results.append((upper_bound(instance, engine, ctx_up), ctx_up.digits))
+        results.append(upper_bound(instance, engine, digits))
     if args.sides in ("lower", "both"):
-        results.append((lower_bound(instance, engine, ctx_down), ctx_down.digits))
+        results.append(lower_bound(instance, engine, digits))
 
     if args.format == "json":
-        payload = [_bound_payload(instance, r, d) for r, d in results]
-        print(json.dumps(payload, indent=2))
+        print(json.dumps([_bound_payload(instance, r) for r in results], indent=2))
     else:
-        for r, d in results:
-            _print_bound_text(instance, r, d)
+        for r in results:
+            _print_bound_text(r)
     return 0
 
 
@@ -164,7 +146,9 @@ def _cmd_tail(args) -> int:
     if not 0 <= m <= n:
         raise DomainError(f"need 0 <= m <= n, got m={m}, n={n}")
     engine = resolve_engine(args.engine, n)
-    digits = _digits_or_env(args) or 30
+    digits = _digits_or_env(args)
+    if digits is None:
+        digits = 30
     ctx = PrecisionContext.for_terms(digits, k + 1)
     fn = left_tail if args.which == "left" else right_tail
     value = fn(n, m, s, k, engine, ctx)
@@ -188,18 +172,9 @@ def _cmd_tail(args) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class BatchQueryFile:
-    """One sample, many conditions: population, sample size, failure budget,
-    and (label, observed count) pairs with unique labels."""
-
-    n: int
-    s: int
-    delta: Fraction
-    conditions: tuple[tuple[str, int], ...]
-
-
-def _parse_batch(lines: list[str]) -> BatchQueryFile:
+def _parse_batch(lines: list[str]) -> tuple[int, int, Fraction, tuple[tuple[str, int], ...]]:
+    """Population, sample size, failure budget, and (label, observed count)
+    pairs with unique labels, from the lines of a batch file."""
     header: tuple[int, int, Fraction] | None = None
     conditions: list[tuple[str, int]] = []
     seen: set[str] = set()
@@ -237,7 +212,7 @@ def _parse_batch(lines: list[str]) -> BatchQueryFile:
         raise DomainError("batch file has no header line")
     if not conditions:
         raise DomainError("batch file has no conditions")
-    return BatchQueryFile(header[0], header[1], header[2], tuple(conditions))
+    return (*header, tuple(conditions))
 
 
 def _cmd_batch(args) -> int:
@@ -248,23 +223,20 @@ def _cmd_batch(args) -> int:
         if not path.exists():
             raise DomainError(f"no such batch file: {args.file}")
         lines = path.read_text(encoding="utf-8").splitlines()
-    batch = _parse_batch(lines)
-    n, s, delta, conditions = batch.n, batch.s, batch.delta, batch.conditions
-    policy = MultiplicityPolicy(two_sided=True, condition_count=len(conditions))
-    delta_side = adjust_delta(delta, policy)
+    n, s, delta, conditions = _parse_batch(lines)
+    # union bound: the 2j one-sided statements of j conditions share delta
+    delta_side = delta / (2 * len(conditions))
     engine = resolve_engine(args.engine, n)
     digits = _digits_or_env(args)
 
     rows = []
     for label, k in sorted(conditions):
         instance = QueryInstance(n, s, k, delta_side)
-        ctx_up, ctx_down = _context_pair(n, s, k, delta_side, digits)
-        up = upper_bound(instance, engine, ctx_up)
-        down = lower_bound(instance, engine, ctx_down)
-        rows.append((label, k, instance, up, ctx_up.digits, down, ctx_down.digits))
+        rows.append((label, k, instance, upper_bound(instance, engine, digits),
+                     lower_bound(instance, engine, digits)))
 
     confidence = 1 - delta
-    shown_digits = max(row[4] for row in rows)
+    shown_digits = max(row[3].digits for row in rows)
     if args.format == "json":
         payload = {
             "n": _json_int(n),
@@ -277,10 +249,10 @@ def _cmd_batch(args) -> int:
                 {
                     "label": label,
                     "k": _json_int(k),
-                    "upper": _bound_payload(instance, up, d_up),
-                    "lower": _bound_payload(instance, down, d_down),
+                    "upper": _bound_payload(instance, up),
+                    "lower": _bound_payload(instance, down),
                 }
-                for label, k, instance, up, d_up, down, d_down in rows
+                for label, k, instance, up, down in rows
             ],
         }
         print(json.dumps(payload, indent=2))
@@ -288,7 +260,7 @@ def _cmd_batch(args) -> int:
         print(f"n={n} s={s} delta={_fraction_str(delta, shown_digits)} "
               f"conditions={len(conditions)} "
               f"per_side_delta={_fraction_str(delta_side, shown_digits)}")
-        for label, k, _instance, up, _d_up, down, _d_down in rows:
+        for label, k, _instance, up, down in rows:
             print(f"{label}: k={k} lower={down.m_hat} upper={up.m_hat}")
         print(f"joint: all {2 * len(conditions)} bounds hold simultaneously "
               f"with probability >= {_fraction_str(confidence, shown_digits)}")

@@ -13,8 +13,8 @@ import random
 from dataclasses import dataclass
 from typing import Union
 
-from .model import DomainError, QueryInstance, TailEngine, as_fraction
-from .solver import choose_precision, lower_bound, upper_bound
+from .model import DomainError, QueryInstance, TailEngine, as_fraction, check_tail_domain
+from .solver import lower_bound, upper_bound
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,7 @@ def sample_successes(n: int, m: int, s: int, rng: random.Random) -> int:
     items), which is the exact hypergeometric scheme without materializing
     the population.
     """
-    if not 0 <= m <= n:
-        raise DomainError(f"success count must satisfy 0 <= m <= n, got m={m}, n={n}")
-    if not 1 <= s <= n:
-        raise DomainError(f"sample size must satisfy 1 <= s <= n, got s={s}, n={n}")
+    check_tail_domain(n, m, s)
     rand = rng.random
     left = m  # successes not yet drawn
     for remaining_n in range(n, n - s, -1):
@@ -72,11 +69,9 @@ def coverage_run(n: int, m: int, s: int, delta, trials: int, seed: int,
         cached = bounds_for_k.get(k)
         if cached is None:
             instance = QueryInstance(n, s, k, d)
-            ctx_up = choose_precision(n, k, d, digits=digits) if digits else None
-            ctx_down = choose_precision(n, s - k, d, digits=digits) if digits else None
             cached = (
-                upper_bound(instance, engine, ctx_up).m_hat,
-                lower_bound(instance, engine, ctx_down).m_hat,
+                upper_bound(instance, engine, digits).m_hat,
+                lower_bound(instance, engine, digits).m_hat,
             )
             bounds_for_k[k] = cached
         m_up, m_down = cached

@@ -21,6 +21,7 @@ from .model import (
     DomainError,
     PrecisionContext,
     PrecisionInfeasibleError,
+    check_tail_domain,
     decimal_context,
 )
 
@@ -28,13 +29,6 @@ _ONE = Decimal(1)
 _ZERO = Decimal(0)
 _CHUNK = 16  # factors per exact integer chunk of a falling product
 _GUARD_DIGITS = 5  # extra digits for the power of two that scales the quotient
-
-
-def _check_tail_domain(n: int, m: int, s: int) -> None:
-    if not 0 <= m <= n:
-        raise DomainError(f"success count must satisfy 0 <= m <= n, got m={m}, n={n}")
-    if not 1 <= s <= n:
-        raise DomainError(f"sample size must satisfy 1 <= s <= n, got s={s}, n={n}")
 
 
 def _check_feasible(ctx: PrecisionContext) -> None:
@@ -80,7 +74,7 @@ def pmf_direct(n: int, m: int, s: int, j: int, ctx: PrecisionContext) -> Decimal
     place at ctx.digits (half a unit from the final rounding plus under a
     hundredth), independent of s.
     """
-    _check_tail_domain(n, m, s)
+    check_tail_domain(n, m, s)
     if j < 0 or j > s or j > m or s - j > n - m:
         return _ZERO
     bits = 4 * (ctx.digits + 2) + s.bit_length() + 4
@@ -120,7 +114,7 @@ def left_tail_direct(n: int, m: int, s: int, k: int, ctx: PrecisionContext) -> D
 
 def _trivial_tail(n: int, m: int, s: int, k: int, ctx: PrecisionContext) -> Decimal | None:
     """Check a floating tail's arguments; return the tail if it is 0 or 1."""
-    _check_tail_domain(n, m, s)
+    check_tail_domain(n, m, s)
     if k < 0:
         raise DomainError(f"tail index must be >= 0, got k={k}")
     _check_feasible(ctx)

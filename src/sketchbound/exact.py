@@ -19,10 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .model import DomainError, OracleLimitError, QueryInstance
-
-# Exact rationals are plain stdlib fractions; binomials stay plain ints.
-ExactRational = Fraction
+from .model import DomainError, OracleLimitError, QueryInstance, check_tail_domain
 
 DEFAULT_ORACLE_LIMIT = 10_000
 
@@ -35,13 +32,6 @@ def _check_limit(n: int, max_n: int | None) -> None:
         )
 
 
-def _check_pmf_domain(n: int, m: int, s: int) -> None:
-    if not 0 <= m <= n:
-        raise DomainError(f"success count must satisfy 0 <= m <= n, got m={m}, n={n}")
-    if not 1 <= s <= n:
-        raise DomainError(f"sample size must satisfy 1 <= s <= n, got s={s}, n={n}")
-
-
 def binom(i: int, j: int) -> int:
     """Binomial coefficient C(i, j), zero when j < 0, j > i, or i < 0."""
     if j < 0 or i < 0 or j > i:
@@ -52,7 +42,7 @@ def binom(i: int, j: int) -> int:
 def pmf_exact(n: int, m: int, s: int, j: int,
               max_n: int | None = DEFAULT_ORACLE_LIMIT) -> Fraction:
     """P(K = j) for K hypergeometric(n, m, s), as an exact fraction."""
-    _check_pmf_domain(n, m, s)
+    check_tail_domain(n, m, s)
     _check_limit(n, max_n)
     return Fraction(binom(m, j) * binom(n - m, s - j), binom(n, s))
 
@@ -89,7 +79,7 @@ def _tail_numerator(n: int, m: int, s: int, k: int, total: int) -> int:
 def left_tail_exact(n: int, m: int, s: int, k: int,
                     max_n: int | None = DEFAULT_ORACLE_LIMIT) -> Fraction:
     """P(K <= k), exact."""
-    _check_pmf_domain(n, m, s)
+    check_tail_domain(n, m, s)
     if k < 0:
         raise DomainError(f"tail index must be >= 0, got k={k}")
     _check_limit(n, max_n)
@@ -100,7 +90,7 @@ def left_tail_exact(n: int, m: int, s: int, k: int,
 def right_tail_exact(n: int, m: int, s: int, k: int,
                      max_n: int | None = DEFAULT_ORACLE_LIMIT) -> Fraction:
     """P(K >= k), exact, as P(s - K <= s - k).  Empty sums (k > min(s, m)) are zero."""
-    _check_pmf_domain(n, m, s)
+    check_tail_domain(n, m, s)
     if k < 0:
         raise DomainError(f"tail index must be >= 0, got k={k}")
     _check_limit(n, max_n)
@@ -110,13 +100,11 @@ def right_tail_exact(n: int, m: int, s: int, k: int,
 
 
 def upper_bound_exact(instance: QueryInstance,
-                      max_n: int | None = DEFAULT_ORACLE_LIMIT,
-                      exhaustive: bool = False) -> int:
+                      max_n: int | None = DEFAULT_ORACLE_LIMIT) -> int:
     """Largest m with P(K <= k) >= delta, by exact binary search.
 
     The left tail is strictly decreasing in m until it hits zero, so a
-    bisection over [0, n] is exact.  `exhaustive` switches to a linear scan
-    for debugging the search itself.
+    bisection over [0, n] is exact.
     """
     n, s, k, delta = instance.n, instance.s, instance.k, instance.delta
     _check_limit(n, max_n)
@@ -125,11 +113,6 @@ def upper_bound_exact(instance: QueryInstance,
         return n
     dn, dd = delta.numerator, delta.denominator
     total = math.comb(n, s)
-    if exhaustive:
-        for m in range(n, -1, -1):
-            if _tail_numerator(n, m, s, k, total) * dd >= dn * total:
-                return m
-        raise AssertionError("left tail at m=0 is 1, which always qualifies")
     lo, hi = 0, n  # tail(0) = 1 >= delta; tail(n) = 0 < delta since k < s
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -141,12 +124,11 @@ def upper_bound_exact(instance: QueryInstance,
 
 
 def lower_bound_exact(instance: QueryInstance,
-                      max_n: int | None = DEFAULT_ORACLE_LIMIT,
-                      exhaustive: bool = False) -> int:
+                      max_n: int | None = DEFAULT_ORACLE_LIMIT) -> int:
     """Smallest m with P(K >= k) >= delta, through the dual upper bound."""
     n, s, k, delta = instance.n, instance.s, instance.k, instance.delta
     if k == 0:
         # right tail is identically 1
         return 0
     dual = QueryInstance(n, s, s - k, delta)
-    return n - upper_bound_exact(dual, max_n=max_n, exhaustive=exhaustive)
+    return n - upper_bound_exact(dual, max_n=max_n)

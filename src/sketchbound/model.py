@@ -90,7 +90,18 @@ class QueryInstance:
             raise DomainError(f"delta must lie strictly in (0, 1), got {self.delta}")
 
 
-@lru_cache(maxsize=None)
+def check_tail_domain(n: int, m: int, s: int) -> None:
+    """Reject a success count or sample size outside a population of n."""
+    if not 0 <= m <= n:
+        raise DomainError(f"success count must satisfy 0 <= m <= n, got m={m}, n={n}")
+    if not 1 <= s <= n:
+        raise DomainError(f"sample size must satisfy 1 <= s <= n, got s={s}, n={n}")
+
+
+# A solve touches a handful of digit counts (its own, the log pmf's wider one
+# and a few guard widths); the bound keeps a long-running process from
+# holding one context per digit count it ever saw.
+@lru_cache(maxsize=64)
 def decimal_context(digits: int) -> decimal.Context:
     """Shared decimal context at the given precision (copied by localcontext on use)."""
     return decimal.Context(prec=digits, Emax=_EMAX, Emin=_EMIN)
@@ -144,7 +155,8 @@ class BoundResult:
     tail_at_m_hat_plus_1 the one at m_hat + 1; they straddle delta_used.
     For side "lower" the fields hold the right tails at m_hat and at
     m_hat - 1 (the straddle partner below the bound), which equal the left
-    tails of the dual search at n - m_hat and n - m_hat + 1.
+    tails of the dual search at n - m_hat and n - m_hat + 1.  digits is the
+    decimal precision the solve chose (recorded for the exact engine too).
     """
 
     m_hat: int
@@ -154,6 +166,7 @@ class BoundResult:
     tail_at_m_hat: "Decimal | Fraction"
     tail_at_m_hat_plus_1: "Decimal | Fraction"
     iterations: int
+    digits: int
 
     def __post_init__(self):
         if self.side not in ("upper", "lower"):

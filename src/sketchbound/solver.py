@@ -4,15 +4,15 @@ Binary search over m with a verified bracket: the low endpoint's computed
 tail is at or above the failure budget, the high endpoint's below it.  Seeds
 (the sample proportion for low, a Hoeffding bound for high) are hints only;
 they enter the bracket solely after their tails check out.  Lower bounds
-come from the upper bound of the complemented condition, multiplicity
-adjustments split the failure budget, and the precision chooser turns an
-instance into a digit count that keeps tail errors inside the tail gaps.
+come from the upper bound of the complemented condition, and every bound
+takes its digit count from the precision chooser, which keeps tail errors
+inside the tail gaps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Union
@@ -38,37 +38,6 @@ _ZERO = Decimal(0)
 # Above this population size the exact oracle stops being "fast ground
 # truth", so auto picks the O(k lg n) Stirling engine instead.
 AUTO_EXACT_LIMIT = exact.DEFAULT_ORACLE_LIMIT
-
-
-@dataclass(frozen=True)
-class MultiplicityPolicy:
-    """How many simultaneous bound statements share one failure budget."""
-
-    two_sided: bool = False
-    condition_count: int = 1
-
-    def __post_init__(self):
-        if self.condition_count < 1:
-            raise DomainError("condition_count must be >= 1")
-
-
-@dataclass(frozen=True)
-class SearchBracket:
-    """Verified bisection bracket: tail(low) >= threshold > tail(high)."""
-
-    low: int
-    high: int
-    tail_low: TailValue
-    tail_high: TailValue
-    threshold: TailValue
-
-    def __post_init__(self):
-        if not 0 <= self.low < self.high:
-            raise DomainError(f"bracket must satisfy 0 <= low < high, got [{self.low}, {self.high}]")
-        if not self.tail_low >= self.threshold:
-            raise DomainError("bracket low endpoint has tail below the threshold")
-        if not self.tail_high < self.threshold:
-            raise DomainError("bracket high endpoint has tail at or above the threshold")
 
 
 def resolve_engine(engine: Union[TailEngine, str], n: int) -> TailEngine:
@@ -119,19 +88,6 @@ def pmf(n: int, m: int, s: int, j: int, engine: TailEngine,
     return exact.pmf_exact(n, m, s, j)
 
 
-def adjust_delta(delta: Probability, policy: MultiplicityPolicy) -> Fraction:
-    """Per-bound failure budget under the union-bound split.
-
-    Two-sided with j conditions uses delta/(2j); one-sided uses delta/j,
-    the same worst-case-failures-sum argument applied to j statements.
-    """
-    d = as_fraction(delta)
-    if not 0 < d < 1:
-        raise DomainError(f"delta must lie strictly in (0, 1), got {d}")
-    sides = 2 if policy.two_sided else 1
-    return d / (sides * policy.condition_count)
-
-
 def choose_precision(n: int, k: int, delta: Probability,
                      digits: int | None = None) -> PrecisionContext:
     """Precision sufficient to place the bound within one of the sharp value.
@@ -160,13 +116,6 @@ def choose_precision(n: int, k: int, delta: Probability,
                             trunc_threshold=thr)
 
 
-def start_low(n: int, s: int, k: int, delta: Probability, engine: TailEngine,
-              ctx: PrecisionContext) -> int:
-    """Verified low seed: the sample proportion if its tail qualifies, else 0."""
-    seed, _tail, _evals = _verified_low(n, s, k, as_fraction(delta), engine, ctx)
-    return seed
-
-
 def start_high(n: int, s: int, k: int, delta: Probability) -> int:
     """Hoeffding seed for the high endpoint; the caller verifies its tail."""
     d = as_fraction(delta)
@@ -178,52 +127,39 @@ def start_high(n: int, s: int, k: int, delta: Probability) -> int:
     return min(math.ceil(n * (k / s + radical)), n)
 
 
-def _threshold(delta: Fraction, engine: TailEngine, ctx: PrecisionContext) -> TailValue:
-    if engine is TailEngine.EXACT:
-        return delta
-    with localcontext(ctx.context):
-        return Decimal(delta.numerator) / Decimal(delta.denominator)
-
-
-def _verified_low(n: int, s: int, k: int, delta: Fraction, engine: TailEngine,
-                  ctx: PrecisionContext) -> tuple[int, TailValue, int]:
-    """Low endpoint with tail >= delta, plus the tail value and evals spent."""
-    threshold = _threshold(delta, engine, ctx)
-    seed = (k * n) // s
-    if seed == 0:
-        # tail at m = 0 is exactly 1: the sample cannot contain a success
-        return 0, _ONE if engine is not TailEngine.EXACT else Fraction(1), 0
-    t = left_tail(n, seed, s, k, engine, ctx)
-    if t >= threshold:
-        return seed, t, 1
-    return 0, _ONE if engine is not TailEngine.EXACT else Fraction(1), 1
-
-
 def upper_bound(instance: QueryInstance, engine: Union[TailEngine, str] = "auto",
-                ctx: PrecisionContext | None = None) -> BoundResult:
+                digits: int | None = None) -> BoundResult:
     """Largest m whose computed left tail still meets the failure budget.
 
     The result's two recorded tails straddle the budget: tail(m_hat) >=
-    delta > tail(m_hat + 1) as computed.  With tail errors inside the
-    consecutive-tail gaps, m_hat is within one of the sharp bound.
+    delta > tail(m_hat + 1) as computed.  The digit count comes from
+    choose_precision(n, k, delta, digits), so tail errors stay inside the
+    consecutive-tail gaps and m_hat is within one of the sharp bound.
     """
     n, s, k, delta = instance.n, instance.s, instance.k, instance.delta
     eng = resolve_engine(engine, n)
+    ctx = choose_precision(n, k, delta, digits)
     if eng is TailEngine.EXACT:
         one: TailValue = Fraction(1)
         zero: TailValue = Fraction(0)
+        threshold: TailValue = delta
     else:
         one, zero = _ONE, _ZERO
+        with localcontext(ctx.context):
+            threshold = Decimal(delta.numerator) / Decimal(delta.denominator)
     if k == s:
         # left tail is identically 1; nothing to search
-        return BoundResult(n, "upper", delta, eng, one, zero, 0)
-    if ctx is None:
-        ctx = choose_precision(n, k, delta)
-    threshold = _threshold(delta, eng, ctx)
-    evals = 0
+        return BoundResult(n, "upper", delta, eng, one, zero, 0, ctx.digits)
 
-    lo, t_lo, spent = _verified_low(n, s, k, delta, eng, ctx)
-    evals += spent
+    # low seed: the sample proportion if its tail qualifies, else 0, whose
+    # tail is exactly 1 (the sample cannot contain a success)
+    lo, t_lo, evals = 0, one, 0
+    seed = (k * n) // s
+    if seed > 0:
+        t = left_tail(n, seed, s, k, eng, ctx)
+        evals += 1
+        if t >= threshold:
+            lo, t_lo = seed, t
     # first m whose tail is structurally zero; always a valid high endpoint
     zero_m = n - (s - k) + 1
     hi = start_high(n, s, k, delta)
@@ -234,8 +170,6 @@ def upper_bound(instance: QueryInstance, engine: Union[TailEngine, str] = "auto"
         evals += 1
         if not t_hi < threshold:
             hi, t_hi = zero_m, zero
-    bracket = SearchBracket(lo, hi, t_lo, t_hi, threshold)
-    lo, hi, t_lo, t_hi = bracket.low, bracket.high, bracket.tail_low, bracket.tail_high
 
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -245,29 +179,21 @@ def upper_bound(instance: QueryInstance, engine: Union[TailEngine, str] = "auto"
             lo, t_lo = mid, t
         else:
             hi, t_hi = mid, t
-    return BoundResult(lo, "upper", delta, eng, t_lo, t_hi, evals)
+    return BoundResult(lo, "upper", delta, eng, t_lo, t_hi, evals, ctx.digits)
 
 
 def lower_bound(instance: QueryInstance, engine: Union[TailEngine, str] = "auto",
-                ctx: PrecisionContext | None = None) -> BoundResult:
+                digits: int | None = None) -> BoundResult:
     """Smallest m whose computed right tail meets the failure budget.
 
     Computed as n minus the upper bound for the complemented condition
-    (s - k observed failures); the recorded tails are the right tails at
-    m_hat and m_hat - 1, which are the dual search's left tails.
+    (s - k observed failures), at that search's digit count; the recorded
+    tails are the right tails at m_hat and m_hat - 1, which are the dual
+    search's left tails.
     """
     n, s, k, delta = instance.n, instance.s, instance.k, instance.delta
-    eng = resolve_engine(engine, n)
-    if k == 0:
-        one: TailValue = Fraction(1) if eng is TailEngine.EXACT else _ONE
-        zero: TailValue = Fraction(0) if eng is TailEngine.EXACT else _ZERO
-        return BoundResult(0, "lower", delta, eng, one, zero, 0)
-    if ctx is None:
-        ctx = choose_precision(n, s - k, delta)
-    dual = upper_bound(QueryInstance(n, s, s - k, delta), eng, ctx)
-    return BoundResult(n - dual.m_hat, "lower", delta, eng,
-                       dual.tail_at_m_hat, dual.tail_at_m_hat_plus_1,
-                       dual.iterations)
+    dual = upper_bound(QueryInstance(n, s, s - k, delta), engine, digits)
+    return replace(dual, m_hat=n - dual.m_hat, side="lower")
 
 
 def gap(n: int, m: int, s: int, k: int, engine: Union[TailEngine, str] = "exact",

@@ -19,22 +19,25 @@ import itertools
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Optional
+from functools import lru_cache
 
-from .direct import _anchor_index, _check_tail_domain, _support, _trivial_tail, _walk_sum
-from .model import DomainError, PrecisionContext, StructuralZeroError, decimal_context
+from .direct import _anchor_index, _support, _trivial_tail, _walk_sum
+from .model import (
+    DomainError,
+    PrecisionContext,
+    StructuralZeroError,
+    check_tail_domain,
+    decimal_context,
+)
 
 _ZERO = Decimal(0)
 
-_pi_memo: dict[int, Decimal] = {}
-_ln2pi_memo: dict[int, Decimal] = {}
 _bernoulli_memo: list[Fraction] = [Fraction(1)]
 
 
+@lru_cache(maxsize=64)
 def _pi(digits: int) -> Decimal:
     """pi at the requested precision, by the classic converging series."""
-    if digits in _pi_memo:
-        return _pi_memo[digits]
     with localcontext(decimal_context(digits + 4)):
         three = Decimal(3)
         lasts, t, s, n, na, d, da = Decimal(0), three, three, 1, 0, 0, 24
@@ -45,21 +48,16 @@ def _pi(digits: int) -> Decimal:
             t = (t * n) / d
             s += t
     with localcontext(decimal_context(digits)):
-        result = +s
-    _pi_memo[digits] = result
-    return result
+        return +s
 
 
+@lru_cache(maxsize=64)
 def _ln2pi(digits: int) -> Decimal:
     """ln(2 pi) at the requested precision, never a fixed-width literal."""
-    if digits in _ln2pi_memo:
-        return _ln2pi_memo[digits]
     with localcontext(decimal_context(digits + 4)):
         value = (2 * _pi(digits + 4)).ln()
     with localcontext(decimal_context(digits)):
-        result = +value
-    _ln2pi_memo[digits] = result
-    return result
+        return +value
 
 
 def _bernoulli(i: int) -> Fraction:
@@ -71,77 +69,52 @@ def _bernoulli(i: int) -> Fraction:
     return _bernoulli_memo[i]
 
 
-class LogFactorialTable:
-    """Memoized ln h! with a small-argument exact path.
+@lru_cache(maxsize=4096)
+def log_factorial(h: int, digits: int) -> Decimal:
+    """ln h! at `digits` digits, by the Stirling series above the cutoff and exactly below.
 
-    Below the cutoff, ln h! is the log of the exact factorial.  The cutoff
-    is `exact_cutoff` or half the digit count, whichever is larger; from
-    there on the series terms fall fast enough that, after the first four
-    correction terms, more are summed until the first one left out, which
-    bounds the remainder, is below 10^-(digits-8)/9 (nine values make up
-    one log pmf).  Cached values are keyed by (h, digits); at most
-    MAX_CACHED are kept, the oldest evicted first.  The cache is an
-    optimization only.
+    Below max(30, digits // 2), ln h! is the log of the exact factorial;
+    from there on it is _series(h, digits).  At most 4096 values are kept,
+    the least recently used evicted first.  The cache is an optimization
+    only.
     """
-
-    MAX_CACHED = 4096
-
-    def __init__(self, exact_cutoff: int = 30):
-        if exact_cutoff < 1:
-            raise DomainError("exact_cutoff must be >= 1")
-        self.exact_cutoff = exact_cutoff
-        self.cached_values: dict[tuple[int, int], Decimal] = {}
-
-    def value(self, h: int, ctx: PrecisionContext) -> Decimal:
-        return self._value(h, ctx.digits)
-
-    def _value(self, h: int, digits: int) -> Decimal:
-        if h < 0:
-            raise DomainError(f"factorial argument must be >= 0, got {h}")
-        key = (h, digits)
-        cached = self.cached_values.get(key)
-        if cached is None:
-            cached = self._compute(h, digits)
-            if len(self.cached_values) >= self.MAX_CACHED:
-                del self.cached_values[next(iter(self.cached_values))]
-            self.cached_values[key] = cached
-        return cached
-
-    def _compute(self, h: int, digits: int) -> Decimal:
+    if h < 0:
+        raise DomainError(f"factorial argument must be >= 0, got {h}")
+    if h < max(30, digits // 2):
         with localcontext(decimal_context(digits)):
-            if h < max(self.exact_cutoff, digits // 2):
-                return Decimal(math.factorial(h)).ln()
-            tol = Decimal(1).scaleb(8 - digits) / 9
-            terms = []
-            for i in itertools.count(1):
-                b = _bernoulli(2 * i)
-                t = Decimal(b.numerator) / (b.denominator * 2 * i * (2 * i - 1) * h ** (2 * i - 1))
-                if i > 4 and abs(t) < tol:
-                    break
-                terms.append(t)
-            # smallest terms first
-            acc = _ZERO
-            for t in reversed(terms):
-                acc += t
-            hd = Decimal(h)
-            lnh = hd.ln()
-            acc += (_ln2pi(digits) + lnh) / 2
-            acc -= hd
-            acc += hd * lnh
-            return acc
+            return Decimal(math.factorial(h)).ln()
+    return _series(h, digits)
 
 
-_default_table = LogFactorialTable()
+def _series(h: int, digits: int) -> Decimal:
+    """ln h! by the Stirling series, with every correction term it needs.
+
+    After the first four correction terms, more are summed until the first
+    one left out, which bounds the remainder, is below 10^-(digits-8)/9
+    (nine values make up one log pmf).
+    """
+    with localcontext(decimal_context(digits)):
+        tol = Decimal(1).scaleb(8 - digits) / 9
+        terms = []
+        for i in itertools.count(1):
+            b = _bernoulli(2 * i)
+            t = Decimal(b.numerator) / (b.denominator * 2 * i * (2 * i - 1) * h ** (2 * i - 1))
+            if i > 4 and abs(t) < tol:
+                break
+            terms.append(t)
+        # smallest terms first
+        acc = _ZERO
+        for t in reversed(terms):
+            acc += t
+        hd = Decimal(h)
+        lnh = hd.ln()
+        acc += (_ln2pi(digits) + lnh) / 2
+        acc -= hd
+        acc += hd * lnh
+        return acc
 
 
-def log_factorial(h: int, ctx: PrecisionContext,
-                  table: Optional[LogFactorialTable] = None) -> Decimal:
-    """ln h!, by Stirling series above the table's cutoff and exactly below."""
-    return (table or _default_table).value(h, ctx)
-
-
-def log_pmf(n: int, m: int, s: int, j: int, ctx: PrecisionContext,
-            table: Optional[LogFactorialTable] = None) -> Decimal:
+def log_pmf(n: int, m: int, s: int, j: int, ctx: PrecisionContext) -> Decimal:
     """ln P(K = j) as a signed sum of nine log factorials.
 
     The log factorials, of size up to n ln n, cancel down to a value of a
@@ -149,14 +122,14 @@ def log_pmf(n: int, m: int, s: int, j: int, ctx: PrecisionContext,
     digits as n log2(n) has; the result is rounded to ctx.digits.
     Raises StructuralZeroError when the pmf is zero; callers must screen.
     """
-    _check_tail_domain(n, m, s)
+    check_tail_domain(n, m, s)
     j_lo, j_hi = _support(n, m, s)
     if j < j_lo or j > j_hi:
         raise StructuralZeroError(f"pmf(n={n}, m={m}, s={s}, j={j}) is zero")
     if j_lo == j_hi:
         # single-point support: the probability is exactly 1
         return _ZERO
-    lnf = (table or _default_table)._value
+    lnf = log_factorial
     wide = ctx.digits + len(str(n * n.bit_length()))
     with localcontext(decimal_context(wide)):
         lnp = (
@@ -169,8 +142,7 @@ def log_pmf(n: int, m: int, s: int, j: int, ctx: PrecisionContext,
         return +lnp
 
 
-def left_tail_stirling(n: int, m: int, s: int, k: int, ctx: PrecisionContext,
-                       table: Optional[LogFactorialTable] = None) -> Decimal:
+def left_tail_stirling(n: int, m: int, s: int, k: int, ctx: PrecisionContext) -> Decimal:
     """P(K <= k) with absolute error within ctx.abs_error_target.
 
     The anchor term, at the same index as the direct engine's, is the
@@ -180,7 +152,7 @@ def left_tail_stirling(n: int, m: int, s: int, k: int, ctx: PrecisionContext,
     if trivial is not None:
         return trivial
     j0 = _anchor_index(n, m, s, k)
-    lnp0 = log_pmf(n, m, s, j0, ctx, table=table)
+    lnp0 = log_pmf(n, m, s, j0, ctx)
     with localcontext(ctx.context):
         anchor = lnp0.exp()
     return _walk_sum(n, m, s, k, j0, anchor, ctx)

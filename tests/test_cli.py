@@ -211,8 +211,7 @@ def test_batch_file_parsing():
     from sketchbound.cli import _parse_batch
 
     parsed = _parse_batch(["# hi", "", "50 10 0.2", "a 3", "b 0  # trailing"])
-    assert (parsed.n, parsed.s, parsed.delta) == (50, 10, Fraction(1, 5))
-    assert parsed.conditions == (("a", 3), ("b", 0))
+    assert parsed == (50, 10, Fraction(1, 5), (("a", 3), ("b", 0)))
 
 
 def test_batch_errors_carry_line_numbers(capsys, tmp_path):
@@ -272,6 +271,23 @@ def test_precision_infeasible_exits_3(capsys):
                            "--engine", "stirling", "--digits", "16")
     assert code == 3
     assert "precision" in err.lower()
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound", "--n", "100", "--s", "20", "--k", "5", "--delta", "0.05"),
+    ("tail", "--n", "10", "--m", "5", "--s", "4", "--k", "1", "--which", "left"),
+    ("coverage", "--n", "200", "--m", "70", "--s", "25", "--delta", "0.1",
+     "--trials", "5"),
+])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_digits_zero_is_rejected_not_the_default(capsys, monkeypatch, argv, source):
+    if source == "flag":
+        argv = (*argv, "--digits", "0")
+    else:
+        monkeypatch.setenv("SKETCHBOUND_DIGITS", "0")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "precision" in err
 
 
 def test_exact_engine_over_limit_exits_2(capsys):

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from sketchbound import DomainError, coverage_run, pmf_exact, sample_successes
-from sketchbound.coverage import _trial_rng
+from sketchbound import DomainError, coverage_run, pmf_exact
+from sketchbound.coverage import _trial_rng, sample_successes
 
 # chi-square 0.999 quantiles by degrees of freedom, from standard tables
 CHI2_999 = {4: 18.467, 5: 20.515, 6: 22.458, 7: 24.322, 8: 26.125, 9: 27.877, 10: 29.588}

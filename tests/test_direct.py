@@ -15,14 +15,13 @@ from sketchbound import (
     PrecisionContext,
     PrecisionInfeasibleError,
     QueryInstance,
-    choose_precision,
     left_tail_exact,
-    log_pmf,
-    pmf_direct,
     pmf_exact,
     upper_bound,
 )
-from sketchbound.direct import _falling, left_tail_direct
+from sketchbound.direct import _falling, left_tail_direct, pmf_direct
+from sketchbound.solver import choose_precision
+from sketchbound.stirling import log_pmf
 
 slow = pytest.mark.skipif(
     not os.environ.get("SKETCHBOUND_SLOW"),

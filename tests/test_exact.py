@@ -14,13 +14,13 @@ from sketchbound import (
     DomainError,
     OracleLimitError,
     QueryInstance,
-    binom,
     left_tail_exact,
     lower_bound_exact,
     pmf_exact,
     right_tail_exact,
     upper_bound_exact,
 )
+from sketchbound.exact import binom
 
 
 def test_binom_conventions():
@@ -161,8 +161,11 @@ def test_bisection_matches_exhaustive_scan():
         k = rng.randrange(0, s + 1)
         delta = rng.choice([Fraction(1, 2), Fraction(1, 10), Fraction(1, 20), Fraction(3, 7)])
         inst = QueryInstance(n, s, k, delta)
-        assert upper_bound_exact(inst) == upper_bound_exact(inst, exhaustive=True)
-        assert lower_bound_exact(inst) == lower_bound_exact(inst, exhaustive=True)
+        # the definitions, scanned over every m
+        up = max(m for m in range(n + 1) if left_tail_exact(n, m, s, k) >= delta)
+        low = min(m for m in range(n + 1) if right_tail_exact(n, m, s, k) >= delta)
+        assert upper_bound_exact(inst) == up
+        assert lower_bound_exact(inst) == low
 
 
 def test_duality_on_small_grid():

@@ -8,41 +8,33 @@ import pytest
 
 from sketchbound import (
     DomainError,
-    MultiplicityPolicy,
     OracleLimitError,
     QueryInstance,
-    SearchBracket,
     TailEngine,
-    adjust_delta,
-    choose_precision,
-    gap,
     left_tail,
     left_tail_exact,
     lower_bound,
     lower_bound_exact,
-    resolve_engine,
-    start_high,
-    start_low,
     upper_bound,
     upper_bound_exact,
 )
+from sketchbound import solver
+from sketchbound.solver import choose_precision, gap, resolve_engine, start_high
 
 ENGINES = (TailEngine.DIRECT, TailEngine.STIRLING, TailEngine.EXACT)
 
 
-def test_adjust_delta_rules():
-    one_sided = MultiplicityPolicy(two_sided=False, condition_count=1)
-    assert adjust_delta(0.05, one_sided) == Fraction(1, 20)
-    assert adjust_delta(0.05, MultiplicityPolicy(two_sided=True)) == Fraction(1, 40)
-    assert adjust_delta(0.10, MultiplicityPolicy(two_sided=True, condition_count=5)) == Fraction(1, 100)
-    assert adjust_delta(0.09, MultiplicityPolicy(two_sided=False, condition_count=3)) == Fraction(3, 100)
+def record_tail_calls(monkeypatch) -> list[int]:
+    """The m of every tail the solver evaluates, in order."""
+    calls = []
+    real = solver.left_tail
 
+    def spy(n, m, s, k, engine, ctx):
+        calls.append(m)
+        return real(n, m, s, k, engine, ctx)
 
-def test_multiplicity_policy_validation():
-    with pytest.raises(DomainError):
-        MultiplicityPolicy(condition_count=0)
-    with pytest.raises(DomainError):
-        adjust_delta(1.5, MultiplicityPolicy())
+    monkeypatch.setattr(solver, "left_tail", spy)
+    return calls
 
 
 def test_resolve_engine_policy():
@@ -54,32 +46,34 @@ def test_resolve_engine_policy():
         resolve_engine("fast", 5)
 
 
-def test_search_bracket_verification():
-    with pytest.raises(DomainError):
-        SearchBracket(5, 5, Fraction(1), Fraction(0), Fraction(1, 2))
-    with pytest.raises(DomainError):
-        SearchBracket(2, 9, Fraction(1, 10), Fraction(0), Fraction(1, 2))
-    with pytest.raises(DomainError):
-        SearchBracket(2, 9, Fraction(1), Fraction(1, 2), Fraction(1, 2))
-    br = SearchBracket(2, 9, Fraction(1), Fraction(0), Fraction(1, 2))
-    assert (br.low, br.high) == (2, 9)
-
-
-def test_start_low_uses_sample_proportion_when_it_qualifies():
-    ctx = choose_precision(20, 2, Fraction(9, 20))
+def test_start_low_uses_sample_proportion_when_it_qualifies(monkeypatch):
+    calls = record_tail_calls(monkeypatch)
     # L(20, 8, 5, 2) = 682/969 >= 0.45, so the seed floor(kn/s) = 8 stands
     assert left_tail_exact(20, 8, 5, 2) >= Fraction(9, 20)
-    assert start_low(20, 5, 2, Fraction(9, 20), TailEngine.EXACT, ctx) == 8
+    r = upper_bound(QueryInstance(20, 5, 2, Fraction(9, 20)), TailEngine.EXACT)
+    # evaluated first, then kept as the low endpoint: nothing at or below it
+    # is evaluated again
+    assert calls[0] == 8
+    assert min(calls[1:]) > 8
+    assert r.m_hat >= 8
 
 
-def test_start_low_falls_back_to_zero():
+def test_start_low_falls_back_to_zero(monkeypatch):
+    calls = record_tail_calls(monkeypatch)
     # delta close to 1 disqualifies the proportion seed
     big_delta = Fraction(99, 100)
-    ctx = choose_precision(20, 2, big_delta)
     assert left_tail_exact(20, 8, 5, 2) < big_delta
-    assert start_low(20, 5, 2, big_delta, TailEngine.EXACT, ctx) == 0
-    # k = 0 seeds at zero without any evaluation
-    assert start_low(20, 5, 0, Fraction(1, 20), TailEngine.EXACT, ctx) == 0
+    inst = QueryInstance(20, 5, 2, big_delta)
+    r = upper_bound(inst, TailEngine.EXACT)
+    high = start_high(20, 5, 2, big_delta)
+    # seed, then the high seed, then the first midpoint of [0, high]
+    assert calls[:3] == [8, high, high // 2]
+    assert r.m_hat == upper_bound_exact(inst) < 8
+    # k = 0 seeds at zero without any evaluation: the first tail is the high seed
+    calls.clear()
+    upper_bound(QueryInstance(20, 5, 0, Fraction(1, 20)), TailEngine.EXACT)
+    assert calls[0] == start_high(20, 5, 0, Fraction(1, 20))
+    assert 0 not in calls
 
 
 def test_start_high_formula():
@@ -181,6 +175,34 @@ def test_duality_is_structural():
         assert low + up == n
 
 
+def test_lower_bound_is_dual_upper_bound_field_by_field():
+    for engine in ENGINES:
+        for n, s, k, d in [(500, 60, 11, Fraction(1, 20)), (20, 5, 0, Fraction(1, 20)),
+                           (20, 5, 5, Fraction(1, 20)), (77, 20, 4, Fraction(2, 5))]:
+            low = lower_bound(QueryInstance(n, s, k, d), engine)
+            up = upper_bound(QueryInstance(n, s, s - k, d), engine)
+            assert low.m_hat == n - up.m_hat
+            assert low.side == "lower"
+            assert (low.delta_used, low.engine, low.iterations, low.digits) == (
+                up.delta_used, up.engine, up.iterations, up.digits)
+            assert low.tail_at_m_hat == up.tail_at_m_hat
+            assert low.tail_at_m_hat_plus_1 == up.tail_at_m_hat_plus_1
+
+
+def test_result_digits_come_from_choose_precision():
+    # k = 0 and k = s take the short cuts on one side each
+    for engine in ENGINES:
+        for n, s, k, d in [(500, 60, 11, Fraction(1, 20)), (20, 5, 0, Fraction(1, 20)),
+                           (20, 5, 5, Fraction(1, 20)), (9000, 700, 3, Fraction(1, 10**9))]:
+            inst = QueryInstance(n, s, k, d)
+            assert upper_bound(inst, engine).digits == choose_precision(n, k, d).digits
+            assert lower_bound(inst, engine).digits == choose_precision(n, s - k, d).digits
+            assert upper_bound(inst, engine, 44).digits == 44
+            assert lower_bound(inst, engine, 44).digits == 44
+    with pytest.raises(DomainError):
+        upper_bound(QueryInstance(20, 5, 5, Fraction(1, 20)), "exact", digits=8)
+
+
 def test_iteration_budget():
     cases = [
         (QueryInstance(10**6, 5000, 600, 0.05), TailEngine.STIRLING),
@@ -200,7 +222,7 @@ def test_computed_tails_monotone_near_bound():
     for engine in (TailEngine.DIRECT, TailEngine.STIRLING):
         inst = QueryInstance(3000, 200, 41, Fraction(1, 20))
         ctx = choose_precision(inst.n, inst.k, inst.delta)
-        m_hat = upper_bound(inst, engine, ctx).m_hat
+        m_hat = upper_bound(inst, engine).m_hat
         tails = [left_tail(inst.n, m, inst.s, inst.k, engine, ctx)
                  for m in (m_hat - 1, m_hat, m_hat + 1)]
         assert tails[0] >= tails[1] >= tails[2]

@@ -6,23 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from sketchbound import (
-    DomainError,
-    LogFactorialTable,
-    PrecisionContext,
-    StructuralZeroError,
-    left_tail_exact,
-    left_tail_stirling,
-    log_factorial,
-    log_pmf,
-    pmf_exact,
-)
+from sketchbound import DomainError, PrecisionContext, left_tail_exact, pmf_exact
 from sketchbound.direct import left_tail_direct
-from sketchbound.model import decimal_context
-from sketchbound.stirling import _ln2pi
+from sketchbound.model import StructuralZeroError, decimal_context
+from sketchbound.solver import choose_precision
+from sketchbound.stirling import _ln2pi, _series, left_tail_stirling, log_factorial, log_pmf
 
 CTX = PrecisionContext.for_terms(30, 64)
-CTX16 = PrecisionContext.for_terms(16, 64)
 
 
 def log_sum_oracle(h: int, digits: int = 45) -> Decimal:
@@ -35,9 +25,9 @@ def log_sum_oracle(h: int, digits: int = 45) -> Decimal:
 
 
 def test_log_factorial_small_values():
-    assert log_factorial(0, CTX) == 0
-    assert log_factorial(1, CTX) == 0
-    ten = log_factorial(10, CTX)
+    assert log_factorial(0, 30) == 0
+    assert log_factorial(1, 30) == 0
+    ten = log_factorial(10, 30)
     with localcontext(decimal_context(30)):
         expect = Decimal(3628800).ln()
     assert abs(ten - expect) < Decimal("1e-27")
@@ -46,7 +36,7 @@ def test_log_factorial_small_values():
 def test_log_factorial_across_the_cutoff():
     # both paths, against the summation oracle
     for h in (2, 5, 29, 30, 31, 100, 1000):
-        got = log_factorial(h, CTX)
+        got = log_factorial(h, 30)
         expect = log_sum_oracle(h)
         with localcontext(decimal_context(45)):
             rel = abs(got - expect) / expect
@@ -57,23 +47,21 @@ def test_log_factorial_series_grows_with_digits():
     # at 80 digits four correction terms leave 1/(1188 h^9) = 1e-17 at h = 40
     import math
 
-    ctx = PrecisionContext.for_terms(80, 64)
     for h in (39, 40, 41, 100, 2000):
         with localcontext(decimal_context(100)):
             expect = Decimal(math.factorial(h)).ln()
-            assert abs(log_factorial(h, ctx) - expect) < Decimal("1e-72"), h
+            assert abs(log_factorial(h, 80) - expect) < Decimal("1e-72"), h
 
 
 def test_log_factorial_negative_rejected():
     with pytest.raises(DomainError):
-        log_factorial(-1, CTX)
+        log_factorial(-1, 30)
 
 
 def test_reverse_order_summation_not_worse_than_forward():
-    # force the series below the usual cutoff and compare orderings at 16 digits
-    table = LogFactorialTable(exact_cutoff=2)
+    # the series below the usual cutoff, orderings compared at 16 digits
     for h in (10, 100, 1000):
-        rev = table.value(h, CTX16)
+        rev = _series(h, 16)
         with localcontext(decimal_context(16)):
             hd = Decimal(h)
             lnh = hd.ln()
@@ -88,10 +76,10 @@ def test_reverse_order_summation_not_worse_than_forward():
 
 
 def test_cached_values_match_fresh_computation():
-    warm = LogFactorialTable()
-    warm.value(500, CTX)
-    assert warm.value(500, CTX) == LogFactorialTable().value(500, CTX)
-    assert (500, CTX.digits) in warm.cached_values
+    log_factorial(500, 30)
+    hits = log_factorial.cache_info().hits
+    assert log_factorial(500, 30) == _series(500, 30)
+    assert log_factorial.cache_info().hits == hits + 1
 
 
 def test_log_pmf_examples():
@@ -145,8 +133,6 @@ def test_left_tail_mid_instance_close_to_exact():
 
 def test_left_tail_small_instances():
     # error target sized from the instance, the way the solver does it
-    from sketchbound import choose_precision
-
     rng = random.Random(43)
     for _ in range(250):
         n = rng.randrange(1, 201)
@@ -160,8 +146,6 @@ def test_left_tail_small_instances():
 
 
 def test_engines_agree_on_mid_size_instances():
-    from sketchbound import choose_precision
-
     rng = random.Random(47)
     for _ in range(40):
         n = rng.randrange(10**3, 10**6)
@@ -175,17 +159,18 @@ def test_engines_agree_on_mid_size_instances():
 
 
 def test_correctness_does_not_depend_on_memo():
-    fresh = LogFactorialTable()
-    a = left_tail_stirling(500, 200, 60, 22, CTX, table=fresh)
-    b = left_tail_stirling(500, 200, 60, 22, CTX, table=LogFactorialTable())
-    c = left_tail_stirling(500, 200, 60, 22, CTX)
-    assert a == b == c
+    log_factorial.cache_clear()
+    cold = left_tail_stirling(500, 200, 60, 22, CTX)
+    warm = left_tail_stirling(500, 200, 60, 22, CTX)
+    assert log_factorial.cache_info().hits > 0
+    assert cold == warm
 
 
 def test_default_table_cache_is_bounded():
-    from sketchbound import QueryInstance, stirling, upper_bound
+    from sketchbound import QueryInstance, upper_bound
 
-    cap = LogFactorialTable.MAX_CACHED
+    cap = log_factorial.cache_info().maxsize
+    assert cap == 4096
     rng = random.Random(53)
     for _ in range(60):
         n = rng.randrange(10**6, 10**8)
@@ -193,14 +178,17 @@ def test_default_table_cache_is_bounded():
         k = rng.randrange(0, s)
         upper_bound(QueryInstance(n, s, k, Fraction(1, 20)), "stirling")
     # 60 bounds make more distinct values than the cap holds
-    assert len(stirling._default_table.cached_values) == cap
+    assert log_factorial.cache_info().currsize == cap
 
-    table = LogFactorialTable()
     for h in range(10**6, 10**6 + cap + 1):
-        table.value(h, CTX)
-    assert len(table.cached_values) == cap
-    assert (10**6, CTX.digits) not in table.cached_values
-    assert (10**6 + cap, CTX.digits) in table.cached_values
+        log_factorial(h, 30)
+    assert log_factorial.cache_info().currsize == cap
+    # the least recently used value went first: computing it again is a miss
+    misses = log_factorial.cache_info().misses
+    log_factorial(10**6 + cap, 30)
+    assert log_factorial.cache_info().misses == misses
+    log_factorial(10**6, 30)
+    assert log_factorial.cache_info().misses == misses + 1
 
 
 @pytest.mark.parametrize("n, s, k", [
@@ -209,7 +197,7 @@ def test_default_table_cache_is_bounded():
     (10**12, 10**6, 100),
 ])
 def test_certificate_tails_within_target_against_mpmath(n, s, k, mp_left_tail):
-    from sketchbound import QueryInstance, choose_precision, upper_bound
+    from sketchbound import QueryInstance, upper_bound
 
     mpmath = pytest.importorskip("mpmath")
     delta = Fraction(1, 20)
