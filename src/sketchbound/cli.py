@@ -216,14 +216,14 @@ def _parse_batch(lines: list[str]) -> tuple[int, int, Fraction, tuple[tuple[str,
 
 
 def _cmd_batch(args) -> int:
-    if args.file == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        path = Path(args.file)
-        if not path.exists():
-            raise DomainError(f"no such batch file: {args.file}")
-        lines = path.read_text(encoding="utf-8").splitlines()
-    n, s, delta, conditions = _parse_batch(lines)
+    try:
+        if args.file == "-":
+            text = sys.stdin.read()
+        else:
+            text = Path(args.file).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read batch file {args.file}: {exc}") from None
+    n, s, delta, conditions = _parse_batch(text.splitlines())
     # union bound: the 2j one-sided statements of j conditions share delta
     delta_side = delta / (2 * len(conditions))
     engine = resolve_engine(args.engine, n)
@@ -268,8 +268,6 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
-    if args.trials < 1:
-        raise DomainError(f"need at least one trial, got {args.trials}")
     if not 0 <= args.m <= args.n:
         raise DomainError(f"need 0 <= m <= n, got m={args.m}, n={args.n}")
     report = coverage_run(args.n, args.m, args.s, args.delta, args.trials,
@@ -291,8 +289,8 @@ def _cmd_coverage(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, engines=("direct", "stirling", "exact", "auto")) -> None:
-    parser.add_argument("--engine", choices=engines, default="auto")
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--engine", choices=("direct", "stirling", "exact", "auto"), default="auto")
     parser.add_argument("--digits", type=int, default=None,
                         help=f"decimal precision (default from the instance; env {ENV_DIGITS})")
     parser.add_argument("--format", choices=("text", "json"), default="text")

@@ -19,12 +19,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .model import DomainError, OracleLimitError, QueryInstance, check_tail_domain
+from .model import DomainError, OracleLimitError, QueryInstance, check_tail_domain, support
 
 DEFAULT_ORACLE_LIMIT = 10_000
 
 
-def _check_limit(n: int, max_n: int | None) -> None:
+def check_limit(n: int, max_n: int | None = DEFAULT_ORACLE_LIMIT) -> None:
+    """Refuse a population above the oracle's size guard (max_n=None lifts it)."""
     if max_n is not None and n > max_n:
         raise OracleLimitError(
             f"exact oracle refuses n={n} (limit {max_n}); "
@@ -43,7 +44,7 @@ def pmf_exact(n: int, m: int, s: int, j: int,
               max_n: int | None = DEFAULT_ORACLE_LIMIT) -> Fraction:
     """P(K = j) for K hypergeometric(n, m, s), as an exact fraction."""
     check_tail_domain(n, m, s)
-    _check_limit(n, max_n)
+    check_limit(n, max_n)
     return Fraction(binom(m, j) * binom(n - m, s - j), binom(n, s))
 
 
@@ -65,8 +66,7 @@ def _tail_numerator(n: int, m: int, s: int, k: int, total: int) -> int:
     Sums the side of k with fewer support points; the upper side is
     subtracted from the full sum.
     """
-    lo = max(0, s - (n - m))
-    hi = min(m, s)
+    lo, hi = support(n, m, s)
     if k < lo:
         return 0
     if k >= hi:
@@ -82,7 +82,7 @@ def left_tail_exact(n: int, m: int, s: int, k: int,
     check_tail_domain(n, m, s)
     if k < 0:
         raise DomainError(f"tail index must be >= 0, got k={k}")
-    _check_limit(n, max_n)
+    check_limit(n, max_n)
     total = math.comb(n, s)
     return Fraction(_tail_numerator(n, m, s, k, total), total)
 
@@ -93,7 +93,7 @@ def right_tail_exact(n: int, m: int, s: int, k: int,
     check_tail_domain(n, m, s)
     if k < 0:
         raise DomainError(f"tail index must be >= 0, got k={k}")
-    _check_limit(n, max_n)
+    check_limit(n, max_n)
     if k > s:
         return Fraction(0)
     return left_tail_exact(n, n - m, s, s - k, max_n=None)
@@ -107,7 +107,7 @@ def upper_bound_exact(instance: QueryInstance,
     bisection over [0, n] is exact.
     """
     n, s, k, delta = instance.n, instance.s, instance.k, instance.delta
-    _check_limit(n, max_n)
+    check_limit(n, max_n)
     if k == s:
         # left tail is identically 1, no m is excluded
         return n
@@ -127,8 +127,4 @@ def lower_bound_exact(instance: QueryInstance,
                       max_n: int | None = DEFAULT_ORACLE_LIMIT) -> int:
     """Smallest m with P(K >= k) >= delta, through the dual upper bound."""
     n, s, k, delta = instance.n, instance.s, instance.k, instance.delta
-    if k == 0:
-        # right tail is identically 1
-        return 0
-    dual = QueryInstance(n, s, s - k, delta)
-    return n - upper_bound_exact(dual, max_n=max_n)
+    return n - upper_bound_exact(QueryInstance(n, s, s - k, delta), max_n=max_n)

@@ -98,6 +98,11 @@ def check_tail_domain(n: int, m: int, s: int) -> None:
         raise DomainError(f"sample size must satisfy 1 <= s <= n, got s={s}, n={n}")
 
 
+def support(n: int, m: int, s: int) -> tuple[int, int]:
+    """Smallest and largest success count a sample of s from (n, m) can hold."""
+    return max(0, s - (n - m)), min(s, m)
+
+
 # A solve touches a handful of digit counts (its own, the log pmf's wider one
 # and a few guard widths); the bound keeps a long-running process from
 # holding one context per digit count it ever saw.

@@ -22,12 +22,15 @@ from .model import (
     BoundResult,
     DomainError,
     PrecisionContext,
+    PrecisionInfeasibleError,
     Probability,
     QueryInstance,
     StructuralZeroError,
     TailEngine,
     as_fraction,
+    check_tail_domain,
     decimal_context,
+    support,
 )
 
 TailValue = Union[Decimal, Fraction]
@@ -41,25 +44,92 @@ AUTO_EXACT_LIMIT = exact.DEFAULT_ORACLE_LIMIT
 
 
 def resolve_engine(engine: Union[TailEngine, str], n: int) -> TailEngine:
-    """Map an engine request ('auto' allowed) to a concrete engine for size n."""
-    if isinstance(engine, TailEngine):
-        return engine
+    """Map an engine request ('auto' allowed) to a concrete engine for size n.
+
+    An explicit exact request passes the oracle's size guard here, before
+    any short cut of a solve could skip it.
+    """
     if engine == "auto":
         return TailEngine.EXACT if n <= AUTO_EXACT_LIMIT else TailEngine.STIRLING
     try:
-        return TailEngine(engine)
+        eng = TailEngine(engine)
     except ValueError:
         raise DomainError(f"unknown engine {engine!r}") from None
+    if eng is TailEngine.EXACT:
+        exact.check_limit(n)
+    return eng
 
 
 def left_tail(n: int, m: int, s: int, k: int, engine: TailEngine,
               ctx: PrecisionContext) -> TailValue:
-    """P(K <= k) under the chosen engine."""
-    if engine is TailEngine.DIRECT:
-        return direct.left_tail_direct(n, m, s, k, ctx)
-    if engine is TailEngine.STIRLING:
-        return stirling.left_tail_stirling(n, m, s, k, ctx)
-    return exact.left_tail_exact(n, m, s, k)
+    """P(K <= k) under the chosen engine.
+
+    The floating engines differ only in the anchor term, p(j0) at the
+    largest term of the truncated sum, which pmf takes from the engine's
+    module; the ratio walk sums the rest, with absolute error within
+    ctx.abs_error_target.
+    """
+    if engine not in (TailEngine.DIRECT, TailEngine.STIRLING):
+        return exact.left_tail_exact(n, m, s, k)
+    check_tail_domain(n, m, s)
+    if k < 0:
+        raise DomainError(f"tail index must be >= 0, got k={k}")
+    # A term at the truncation threshold must still move a sum of order 1.
+    if Decimal(1).scaleb(-ctx.digits) > ctx.trunc_threshold:
+        raise PrecisionInfeasibleError(
+            f"{ctx.digits} digits cannot resolve terms at {ctx.trunc_threshold} "
+            f"inside a tail sum; raise the digit count"
+        )
+    j_lo, j_hi = support(n, m, s)
+    if k < j_lo:
+        return _ZERO
+    if k >= j_hi:
+        # the sum covers the entire support
+        return _ONE
+    j0 = _anchor_index(n, m, s, k, j_lo)
+    return _walk_sum(n, m, s, k, j0, j_lo, pmf(n, m, s, j0, engine, ctx), ctx)
+
+
+def _anchor_index(n: int, m: int, s: int, k: int, j_lo: int) -> int:
+    # Anchor at the largest term of the truncated sum: the distribution mode
+    # when it lies at or below k, otherwise k itself (k is inside the support).
+    mode = (s + 1) * (m + 1) // (n + 2)
+    return max(j_lo, min(k, mode))
+
+
+def _walk_sum(n: int, m: int, s: int, k: int, j0: int, j_lo: int, anchor: Decimal,
+              ctx: PrecisionContext) -> Decimal:
+    """Sum of the tail terms p(j_lo..k) given the anchor term p(j0).
+
+    Walks outward from the anchor with the exact two-term ratio until terms
+    drop below ctx.trunc_threshold, and accumulates each directional run
+    smallest-first.
+    """
+    thr = ctx.trunc_threshold
+    with localcontext(ctx.context):
+        down: list[Decimal] = []
+        t, j = anchor, j0
+        while j > j_lo:
+            t = t * (j * (n - m - s + j)) / ((m - j + 1) * (s - j + 1))
+            if t < thr:
+                break
+            down.append(t)
+            j -= 1
+        up: list[Decimal] = []
+        t, j = anchor, j0
+        while j < k:
+            t = t * ((m - j) * (s - j)) / ((j + 1) * (n - m - s + j + 1))
+            if t < thr:
+                break
+            up.append(t)
+            j += 1
+        total = _ZERO
+        for t in reversed(down):
+            total += t
+        total += anchor
+        for t in reversed(up):
+            total += t
+        return total
 
 
 def right_tail(n: int, m: int, s: int, k: int, engine: TailEngine,
@@ -67,6 +137,7 @@ def right_tail(n: int, m: int, s: int, k: int, engine: TailEngine,
     """P(K >= k): exact directly, floating engines via 1 - left(k-1)."""
     if engine is TailEngine.EXACT:
         return exact.right_tail_exact(n, m, s, k)
+    check_tail_domain(n, m, s)
     if k == 0:
         return _ONE
     with localcontext(ctx.context):

@@ -1,4 +1,4 @@
-"""Left-tail evaluation with its anchor term taken from the Stirling series.
+"""The anchor term of a tail from the Stirling series.
 
 ln h! is approximated by the Stirling series
 
@@ -9,8 +9,7 @@ for h at or above a cutoff, with the correction terms accumulated
 smallest-first so they are not lost to roundoff, and with as many of them
 as the digit count needs; below the cutoff ln h! is the log of the exact
 factorial.  The anchor term of a tail is the exponential of a signed sum of
-nine such values, and the rest of the tail follows from it by the exact
-two-term ratio walk the direct engine uses.
+nine such values; the solver's ratio walk sums the rest of the tail from it.
 """
 
 from __future__ import annotations
@@ -21,13 +20,13 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
-from .direct import _anchor_index, _support, _trivial_tail, _walk_sum
 from .model import (
     DomainError,
     PrecisionContext,
     StructuralZeroError,
     check_tail_domain,
     decimal_context,
+    support,
 )
 
 _ZERO = Decimal(0)
@@ -123,7 +122,7 @@ def log_pmf(n: int, m: int, s: int, j: int, ctx: PrecisionContext) -> Decimal:
     Raises StructuralZeroError when the pmf is zero; callers must screen.
     """
     check_tail_domain(n, m, s)
-    j_lo, j_hi = _support(n, m, s)
+    j_lo, j_hi = support(n, m, s)
     if j < j_lo or j > j_hi:
         raise StructuralZeroError(f"pmf(n={n}, m={m}, s={s}, j={j}) is zero")
     if j_lo == j_hi:
@@ -141,18 +140,3 @@ def log_pmf(n: int, m: int, s: int, j: int, ctx: PrecisionContext) -> Decimal:
     with localcontext(ctx.context):
         return +lnp
 
-
-def left_tail_stirling(n: int, m: int, s: int, k: int, ctx: PrecisionContext) -> Decimal:
-    """P(K <= k) with absolute error within ctx.abs_error_target.
-
-    The anchor term, at the same index as the direct engine's, is the
-    exponential of log_pmf; the shared ratio walk sums the rest.
-    """
-    trivial = _trivial_tail(n, m, s, k, ctx)
-    if trivial is not None:
-        return trivial
-    j0 = _anchor_index(n, m, s, k)
-    lnp0 = log_pmf(n, m, s, j0, ctx)
-    with localcontext(ctx.context):
-        anchor = lnp0.exp()
-    return _walk_sum(n, m, s, k, j0, anchor, ctx)

@@ -128,6 +128,16 @@ def test_tail_right_complement(capsys):
     assert payload["exact"] == "31/42"  # 155/210 reduced
 
 
+@pytest.mark.parametrize("engine", ["direct", "stirling", "exact"])
+def test_right_tail_at_zero_checks_domain(capsys, engine):
+    # k = 0 makes the right tail 1 only for a valid (n, m, s)
+    code, out, err = run_cli(capsys, "tail", "--n", "10", "--m", "5", "--s", "20",
+                             "--k", "0", "--which", "right", "--engine", engine)
+    assert code == 2
+    assert out == ""
+    assert "sample size" in err
+
+
 def test_batch_golden(capsys, tmp_path):
     batch = tmp_path / "conditions.txt"
     batch.write_text(
@@ -232,6 +242,16 @@ def test_batch_errors_carry_line_numbers(capsys, tmp_path):
     assert code == 2
 
 
+def test_batch_unreadable_input_exits_2(capsys, tmp_path):
+    undecodable = tmp_path / "latin1.txt"
+    undecodable.write_bytes("1000 100 0.1\ncaf\u00e9 7\n".encode("latin-1"))
+    for path in (tmp_path, undecodable, tmp_path / "missing.txt"):
+        code, out, err = run_cli(capsys, "batch", str(path))
+        assert code == 2, path
+        assert out == ""
+        assert "cannot read batch file" in err
+
+
 def test_coverage_json_reproducible(capsys):
     args = ("coverage", "--n", "200", "--m", "70", "--s", "25", "--delta", "0.1",
             "--trials", "60", "--seed", "1", "--format", "json")
@@ -294,6 +314,16 @@ def test_exact_engine_over_limit_exits_2(capsys):
     code, _, err = run_cli(capsys, "bound", "--n", "1000000", "--s", "100", "--k", "10",
                            "--delta", "0.05", "--engine", "exact")
     assert code == 2
+    assert "exact oracle" in err
+
+
+@pytest.mark.parametrize("k, sides", [("100", "upper"), ("0", "lower")])
+def test_exact_engine_over_limit_exits_2_on_short_cuts(capsys, k, sides):
+    # k = s (upper) and k = 0 (lower) need no tail, but the guard still holds
+    code, out, err = run_cli(capsys, "bound", "--n", "1000000", "--s", "100", "--k", k,
+                             "--delta", "0.05", "--engine", "exact", "--sides", sides)
+    assert code == 2
+    assert out == ""
     assert "exact oracle" in err
 
 

@@ -15,12 +15,15 @@ from sketchbound import (
     PrecisionContext,
     PrecisionInfeasibleError,
     QueryInstance,
+    TailEngine,
+    left_tail,
     left_tail_exact,
     pmf_exact,
     upper_bound,
 )
-from sketchbound.direct import _falling, left_tail_direct, pmf_direct
-from sketchbound.solver import choose_precision
+from sketchbound.direct import _falling, pmf_direct
+from sketchbound.model import support
+from sketchbound.solver import _anchor_index, choose_precision
 from sketchbound.stirling import log_pmf
 
 slow = pytest.mark.skipif(
@@ -152,28 +155,26 @@ def test_left_tail_direct_within_target_against_mpmath(mp_left_tail):
 
 
 def test_anchor_index_at_largest_term():
-    from sketchbound.direct import _anchor_index
-
     # the anchor really is the largest term of the truncated sum
     for m, k in [(700, 60), (300, 60), (50, 0), (999, 99)]:
-        j0 = _anchor_index(1000, m, 100, k)
+        j0 = _anchor_index(1000, m, 100, k, support(1000, m, 100)[0])
         assert 0 <= j0 <= k
         peak = pmf_exact(1000, m, 100, j0)
         assert all(peak >= pmf_exact(1000, m, 100, j) for j in range(0, k + 1))
-    assert _anchor_index(1000, 700, 100, 60) == 60  # mode above k anchors at k
-    assert 0 < _anchor_index(1000, 300, 100, 60) < 60  # mode near 30, both walks live
+    assert _anchor_index(1000, 700, 100, 60, 0) == 60  # mode above k anchors at k
+    assert 0 < _anchor_index(1000, 300, 100, 60, 0) < 60  # mode near 30, both walks live
 
 
 def test_left_tail_examples():
-    t = left_tail_direct(10, 5, 4, 1, CTX)
+    t = left_tail(10, 5, 4, 1, TailEngine.DIRECT, CTX)
     assert abs(as_frac(t) - Fraction(55, 210)) < Fraction(1, 10**12)
-    assert left_tail_direct(10, 8, 4, 1, CTX) == 0
-    assert left_tail_direct(10, 5, 4, 4, CTX) == 1
+    assert left_tail(10, 8, 4, 1, TailEngine.DIRECT, CTX) == 0
+    assert left_tail(10, 5, 4, 4, TailEngine.DIRECT, CTX) == 1
 
 
 def test_left_tail_mid_instance_close_to_exact():
     ctx = PrecisionContext.for_terms(30, 61)
-    t = left_tail_direct(1000, 700, 100, 60, ctx)
+    t = left_tail(1000, 700, 100, 60, TailEngine.DIRECT, ctx)
     expect = left_tail_exact(1000, 700, 100, 60, max_n=None)
     assert abs(as_frac(t) - expect) < Fraction(1, 10**20)
 
@@ -184,7 +185,7 @@ def test_left_tail_small_instances_within_target():
         for m in range(0, n + 1):
             for s in range(1, n + 1):
                 for k in range(0, s + 1):
-                    got = as_frac(left_tail_direct(n, m, s, k, CTX))
+                    got = as_frac(left_tail(n, m, s, k, TailEngine.DIRECT, CTX))
                     expect = left_tail_exact(n, m, s, k)
                     assert abs(got - expect) <= Fraction(CTX.abs_error_target)
     rng = random.Random(31)
@@ -193,7 +194,7 @@ def test_left_tail_small_instances_within_target():
         m = rng.randrange(0, n + 1)
         s = rng.randrange(1, n + 1)
         k = rng.randrange(0, s + 1)
-        got = as_frac(left_tail_direct(n, m, s, k, CTX))
+        got = as_frac(left_tail(n, m, s, k, TailEngine.DIRECT, CTX))
         expect = left_tail_exact(n, m, s, k)
         assert abs(got - expect) <= Fraction(CTX.abs_error_target)
 
@@ -209,8 +210,8 @@ def test_truncation_skips_at_most_budget():
         m = rng.randrange(0, n + 1)
         s = rng.randrange(10, min(n, 200) + 1)
         k = rng.randrange(0, s + 1)
-        a = left_tail_direct(n, m, s, k, loose)
-        b = left_tail_direct(n, m, s, k, full)
+        a = left_tail(n, m, s, k, TailEngine.DIRECT, loose)
+        b = left_tail(n, m, s, k, TailEngine.DIRECT, full)
         assert abs(a - b) <= (k + 1) * loose.trunc_threshold
         assert abs(a - b) <= loose.abs_error_target
 
@@ -219,8 +220,8 @@ def test_monotone_in_m_near_crossing():
     # computed tails are non-increasing across consecutive m
     ctx = PrecisionContext.for_terms(30, 40)
     for m in range(340, 348):
-        a = left_tail_direct(1000, m, 50, 14, ctx)
-        b = left_tail_direct(1000, m + 1, 50, 14, ctx)
+        a = left_tail(1000, m, 50, 14, TailEngine.DIRECT, ctx)
+        b = left_tail(1000, m + 1, 50, 14, TailEngine.DIRECT, ctx)
         assert a >= b
 
 
@@ -228,7 +229,7 @@ def test_precision_infeasible_signalled():
     bad = PrecisionContext(digits=16, abs_error_target=Decimal("1e-21"),
                            trunc_threshold=Decimal("1e-29"))
     with pytest.raises(PrecisionInfeasibleError):
-        left_tail_direct(100, 50, 20, 8, bad)
+        left_tail(100, 50, 20, 8, TailEngine.DIRECT, bad)
 
 
 @slow

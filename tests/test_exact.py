@@ -208,6 +208,11 @@ def test_oracle_size_guard():
         left_tail_exact(20_001, 10, 5, 2)
     with pytest.raises(OracleLimitError):
         upper_bound_exact(QueryInstance(10**6, 10, 2, 0.05))
+    # bounds whose tail is identically 1 are refused too
+    with pytest.raises(OracleLimitError):
+        upper_bound_exact(QueryInstance(10**6, 100, 100, 0.05))
+    with pytest.raises(OracleLimitError):
+        lower_bound_exact(QueryInstance(10**6, 100, 0, 0.05))
     # configurable: lifting the guard makes the same call work
     assert left_tail_exact(20_001, 10, 5, 2, max_n=None) > 0
     assert pmf_exact(12_000, 6000, 4, 2, max_n=20_000) > 0

@@ -38,6 +38,17 @@ def test_runtime_imports_only_the_standard_library():
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
 
 
+def test_no_module_imports_a_private_name_from_another():
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and (node.module or "").split(".")[0] != "sketchbound":
+                continue
+            private = [alias.name for alias in node.names if alias.name.startswith("_")]
+            assert not private, (path.name, node.module, private)
+
+
 def test_module_level_caches_are_bounded():
     caches = [model.decimal_context, direct._falling_cached, stirling.log_factorial,
               stirling._pi, stirling._ln2pi]

@@ -231,6 +231,12 @@ def test_computed_tails_monotone_near_bound():
 def test_exact_engine_rejects_oversized_population():
     with pytest.raises(OracleLimitError):
         upper_bound(QueryInstance(10**6, 100, 10, 0.05), TailEngine.EXACT)
+    # the k = s and k = 0 short cuts evaluate no tail and are refused all the same
+    for engine in (TailEngine.EXACT, "exact"):
+        with pytest.raises(OracleLimitError):
+            upper_bound(QueryInstance(10**6, 100, 100, 0.05), engine)
+        with pytest.raises(OracleLimitError):
+            lower_bound(QueryInstance(10**6, 100, 0, 0.05), engine)
 
 
 def test_choose_precision_floor_and_scale():

@@ -6,11 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from sketchbound import DomainError, PrecisionContext, left_tail_exact, pmf_exact
-from sketchbound.direct import left_tail_direct
+from sketchbound import (
+    DomainError,
+    PrecisionContext,
+    TailEngine,
+    left_tail,
+    left_tail_exact,
+    pmf_exact,
+)
 from sketchbound.model import StructuralZeroError, decimal_context
 from sketchbound.solver import choose_precision
-from sketchbound.stirling import _ln2pi, _series, left_tail_stirling, log_factorial, log_pmf
+from sketchbound.stirling import _ln2pi, _series, log_factorial, log_pmf
 
 CTX = PrecisionContext.for_terms(30, 64)
 
@@ -118,15 +124,15 @@ def test_exp_log_pmf_matches_exact():
 
 
 def test_left_tail_examples():
-    t = left_tail_stirling(10, 5, 4, 1, CTX)
+    t = left_tail(10, 5, 4, 1, TailEngine.STIRLING, CTX)
     assert abs(Fraction(t) - Fraction(55, 210)) < Fraction(1, 10**10)
-    assert left_tail_stirling(10, 8, 4, 1, CTX) == 0
-    assert left_tail_stirling(10, 5, 4, 4, CTX) == 1
+    assert left_tail(10, 8, 4, 1, TailEngine.STIRLING, CTX) == 0
+    assert left_tail(10, 5, 4, 4, TailEngine.STIRLING, CTX) == 1
 
 
 def test_left_tail_mid_instance_close_to_exact():
     ctx = PrecisionContext.for_terms(30, 61)
-    t = left_tail_stirling(1000, 700, 100, 60, ctx)
+    t = left_tail(1000, 700, 100, 60, TailEngine.STIRLING, ctx)
     expect = left_tail_exact(1000, 700, 100, 60, max_n=None)
     assert abs(Fraction(t) - expect) < Fraction(1, 10**18)
 
@@ -140,7 +146,7 @@ def test_left_tail_small_instances():
         s = rng.randrange(1, n + 1)
         k = rng.randrange(0, s + 1)
         ctx = choose_precision(n, k, Fraction(1, 20))
-        got = Fraction(left_tail_stirling(n, m, s, k, ctx))
+        got = Fraction(left_tail(n, m, s, k, TailEngine.STIRLING, ctx))
         expect = left_tail_exact(n, m, s, k)
         assert abs(got - expect) <= Fraction(ctx.abs_error_target)
 
@@ -153,15 +159,15 @@ def test_engines_agree_on_mid_size_instances():
         s = rng.randrange(2, min(n, 3000) + 1)
         k = rng.randrange(0, s + 1)
         ctx = choose_precision(n, k, Fraction(1, 20))
-        a = left_tail_stirling(n, m, s, k, ctx)
-        b = left_tail_direct(n, m, s, k, ctx)
+        a = left_tail(n, m, s, k, TailEngine.STIRLING, ctx)
+        b = left_tail(n, m, s, k, TailEngine.DIRECT, ctx)
         assert abs(a - b) <= 2 * ctx.abs_error_target
 
 
 def test_correctness_does_not_depend_on_memo():
     log_factorial.cache_clear()
-    cold = left_tail_stirling(500, 200, 60, 22, CTX)
-    warm = left_tail_stirling(500, 200, 60, 22, CTX)
+    cold = left_tail(500, 200, 60, 22, TailEngine.STIRLING, CTX)
+    warm = left_tail(500, 200, 60, 22, TailEngine.STIRLING, CTX)
     assert log_factorial.cache_info().hits > 0
     assert cold == warm
 
