@@ -10,13 +10,7 @@ documented API; everything else is reached through its module.
 """
 
 from .coverage import CoverageReport, coverage_run
-from .exact import (
-    left_tail_exact,
-    lower_bound_exact,
-    pmf_exact,
-    right_tail_exact,
-    upper_bound_exact,
-)
+from .exact import left_tail_exact, pmf_exact, right_tail_exact
 from .model import (
     BoundResult,
     DomainError,
@@ -43,10 +37,8 @@ __all__ = [
     "left_tail",
     "left_tail_exact",
     "lower_bound",
-    "lower_bound_exact",
     "pmf_exact",
     "right_tail",
     "right_tail_exact",
     "upper_bound",
-    "upper_bound_exact",
 ]

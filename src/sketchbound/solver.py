@@ -60,15 +60,17 @@ def resolve_engine(engine: Union[TailEngine, str], n: int) -> TailEngine:
     return eng
 
 
-def left_tail(n: int, m: int, s: int, k: int, engine: TailEngine,
+def left_tail(n: int, m: int, s: int, k: int, engine: Union[TailEngine, str],
               ctx: PrecisionContext) -> TailValue:
-    """P(K <= k) under the chosen engine.
+    """P(K <= k) under the chosen engine ('auto' allowed).
 
     The floating engines differ only in the anchor term, p(j0) at the
     largest term of the truncated sum, which pmf takes from the engine's
     module; the ratio walk sums the rest, with absolute error within
     ctx.abs_error_target.
     """
+    if not isinstance(engine, TailEngine):
+        engine = resolve_engine(engine, n)
     if engine not in (TailEngine.DIRECT, TailEngine.STIRLING):
         return exact.left_tail_exact(n, m, s, k)
     check_tail_domain(n, m, s)
@@ -132,9 +134,11 @@ def _walk_sum(n: int, m: int, s: int, k: int, j0: int, j_lo: int, anchor: Decima
         return total
 
 
-def right_tail(n: int, m: int, s: int, k: int, engine: TailEngine,
+def right_tail(n: int, m: int, s: int, k: int, engine: Union[TailEngine, str],
                ctx: PrecisionContext) -> TailValue:
     """P(K >= k): exact directly, floating engines via 1 - left(k-1)."""
+    if not isinstance(engine, TailEngine):
+        engine = resolve_engine(engine, n)
     if engine is TailEngine.EXACT:
         return exact.right_tail_exact(n, m, s, k)
     check_tail_domain(n, m, s)
@@ -145,18 +149,16 @@ def right_tail(n: int, m: int, s: int, k: int, engine: TailEngine,
 
 
 def pmf(n: int, m: int, s: int, j: int, engine: TailEngine,
-        ctx: PrecisionContext) -> TailValue:
-    """P(K = j) under the chosen engine."""
+        ctx: PrecisionContext) -> Decimal:
+    """P(K = j) under a floating engine: the anchor term of a tail."""
     if engine is TailEngine.DIRECT:
         return direct.pmf_direct(n, m, s, j, ctx)
-    if engine is TailEngine.STIRLING:
-        try:
-            lp = stirling.log_pmf(n, m, s, j, ctx)
-        except StructuralZeroError:
-            return _ZERO
-        with localcontext(ctx.context):
-            return lp.exp()
-    return exact.pmf_exact(n, m, s, j)
+    try:
+        lp = stirling.log_pmf(n, m, s, j, ctx)
+    except StructuralZeroError:
+        return _ZERO
+    with localcontext(ctx.context):
+        return lp.exp()
 
 
 def choose_precision(n: int, k: int, delta: Probability,
@@ -167,13 +169,10 @@ def choose_precision(n: int, k: int, delta: Probability,
     half-gap between consecutive tails near the bound; the digit count
     covers that target with nine digits to spare, never below 16, unless
     overridden.  The truncation threshold splits a tenth of the target
-    across the k+1 terms.
+    across the k+1 terms.  The arguments come from a validated
+    QueryInstance and are not checked again.
     """
     d = as_fraction(delta)
-    if n < 1 or k < 0:
-        raise DomainError(f"need n >= 1 and k >= 0, got n={n}, k={k}")
-    if not 0 < d < 1:
-        raise DomainError(f"delta must lie strictly in (0, 1), got {d}")
     target = d / (4 * n * max(k, 1))
     if digits is None:
         # digits of the integer part of 1/target; equals ceil(log10(1/target))
@@ -190,8 +189,6 @@ def choose_precision(n: int, k: int, delta: Probability,
 def start_high(n: int, s: int, k: int, delta: Probability) -> int:
     """Hoeffding seed for the high endpoint; the caller verifies its tail."""
     d = as_fraction(delta)
-    if not 0 < d < 1:
-        raise DomainError(f"delta must lie strictly in (0, 1), got {d}")
     # ln(1/delta) from the integer parts, safe for arbitrarily small delta
     log_inv = math.log(d.denominator) - math.log(d.numerator)
     radical = math.sqrt(log_inv / (2 * s))
@@ -265,18 +262,3 @@ def lower_bound(instance: QueryInstance, engine: Union[TailEngine, str] = "auto"
     n, s, k, delta = instance.n, instance.s, instance.k, instance.delta
     dual = upper_bound(QueryInstance(n, s, s - k, delta), engine, digits)
     return replace(dual, m_hat=n - dual.m_hat, side="lower")
-
-
-def gap(n: int, m: int, s: int, k: int, engine: Union[TailEngine, str] = "exact",
-        ctx: PrecisionContext | None = None) -> TailValue:
-    """Difference between consecutive left tails: p(n, m, s, k) (s-k)/(n-m)."""
-    if m >= n:
-        raise DomainError(f"gap needs m < n, got m={m}, n={n}")
-    eng = resolve_engine(engine, n)
-    if eng is TailEngine.EXACT:
-        return exact.pmf_exact(n, m, s, k) * Fraction(s - k, n - m)
-    if ctx is None:
-        ctx = PrecisionContext.for_terms(30, k + 1)
-    p = pmf(n, m, s, k, eng, ctx)
-    with localcontext(ctx.context):
-        return p * (s - k) / (n - m)

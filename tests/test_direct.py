@@ -38,7 +38,7 @@ def as_frac(value: Decimal) -> Fraction:
     return Fraction(value)
 
 
-def test_balanced_product_examples():
+def test_falling_products_exact_then_truncated():
     # falling products T(a, b) as (mantissa, exponent), exact while they fit
     assert _falling(5, 2, 64) == (20, 0)
     assert _falling(7, 0, 64) == (1, 0)
@@ -53,13 +53,13 @@ def test_balanced_product_examples():
     assert exact - (v << e) < exact * 13 * Fraction(2, 2**48)
 
 
-def test_balanced_product_rejects_zero_denominator():
+def test_pmf_direct_rejects_sample_larger_than_population():
     # T(n, s) = 0 exactly when s > n, which the domain check rejects
     with pytest.raises(DomainError):
         pmf_direct(3, 1, 4, 1, CTX)
 
 
-def test_balanced_product_reproduces_pmf():
+def test_pmf_direct_from_falling_products():
     # p(10, 5, 4, 2) = T(5,2) T(5,2) T(4,2) / (2! T(10,4)) = 4800 / 10080
     v = pmf_direct(10, 5, 4, 2, CTX)
     assert abs(as_frac(v) - Fraction(10, 21)) <= Fraction(10, 21) / 10**29

@@ -1,4 +1,5 @@
-"""Exact-rational oracle: conventions, tails, bounds, and their identities."""
+"""Exact-rational oracle: pmf, tails, their identities, and the tail kernel;
+the exact engine's bounds against the definition."""
 
 import math
 import random
@@ -9,36 +10,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracle import sharp_lower, sharp_upper
 from sketchbound import exact
 from sketchbound import (
     DomainError,
     OracleLimitError,
     QueryInstance,
+    TailEngine,
     left_tail_exact,
-    lower_bound_exact,
+    lower_bound,
     pmf_exact,
     right_tail_exact,
-    upper_bound_exact,
+    upper_bound,
 )
-from sketchbound.exact import binom
 
-
-def test_binom_conventions():
-    assert binom(5, 2) == 10  # 5!/(2! 3!)
-    assert binom(0, 0) == 1
-    assert binom(3, 5) == 0
-    assert binom(4, -1) == 0
-    assert binom(-2, 1) == 0
-    assert binom(7, 0) == 1
-
-
-def test_binom_matches_factorial_definition():
-    rng = random.Random(7)
-    for _ in range(200):
-        i = rng.randrange(0, 40)
-        j = rng.randrange(0, i + 1)
-        expect = math.factorial(i) // (math.factorial(j) * math.factorial(i - j))
-        assert binom(i, j) == expect
+EXACT = TailEngine.EXACT
 
 
 def test_pmf_examples():
@@ -46,6 +32,9 @@ def test_pmf_examples():
     assert pmf_exact(10, 5, 4, 2) == Fraction(100, 210)
     assert pmf_exact(5, 5, 3, 3) == 1
     assert pmf_exact(10, 2, 4, 3) == 0  # j > m
+    assert pmf_exact(10, 8, 4, 1) == 0  # s - j > n - m
+    assert pmf_exact(10, 5, 4, 5) == 0  # j > s
+    assert pmf_exact(10, 5, 4, -1) == 0
 
 
 def test_pmf_rejects_bad_domains():
@@ -140,17 +129,17 @@ def test_gap_identity_exact():
 
 
 def test_upper_bound_examples():
-    assert upper_bound_exact(QueryInstance(10, 10, 7, 0.5)) == 7
-    assert upper_bound_exact(QueryInstance(20, 5, 5, 0.05)) == 20
+    assert upper_bound(QueryInstance(10, 10, 7, 0.5), EXACT).m_hat == 7
+    assert upper_bound(QueryInstance(20, 5, 5, 0.05), EXACT).m_hat == 20
     # frozen from the exhaustive scan over m = 0..20
-    assert upper_bound_exact(QueryInstance(20, 5, 2, 0.05)) == 15
+    assert upper_bound(QueryInstance(20, 5, 2, 0.05), EXACT).m_hat == 15
 
 
 def test_lower_bound_examples():
-    assert lower_bound_exact(QueryInstance(20, 5, 0, 0.05)) == 0
-    assert lower_bound_exact(QueryInstance(10, 10, 7, 0.5)) == 7
-    dual = upper_bound_exact(QueryInstance(20, 5, 3, 0.05))
-    assert lower_bound_exact(QueryInstance(20, 5, 2, 0.05)) == 20 - dual == 2
+    assert lower_bound(QueryInstance(20, 5, 0, 0.05), EXACT).m_hat == 0
+    assert lower_bound(QueryInstance(10, 10, 7, 0.5), EXACT).m_hat == 7
+    dual = upper_bound(QueryInstance(20, 5, 3, 0.05), EXACT).m_hat
+    assert lower_bound(QueryInstance(20, 5, 2, 0.05), EXACT).m_hat == 20 - dual == 2
 
 
 def test_bisection_matches_exhaustive_scan():
@@ -161,11 +150,8 @@ def test_bisection_matches_exhaustive_scan():
         k = rng.randrange(0, s + 1)
         delta = rng.choice([Fraction(1, 2), Fraction(1, 10), Fraction(1, 20), Fraction(3, 7)])
         inst = QueryInstance(n, s, k, delta)
-        # the definitions, scanned over every m
-        up = max(m for m in range(n + 1) if left_tail_exact(n, m, s, k) >= delta)
-        low = min(m for m in range(n + 1) if right_tail_exact(n, m, s, k) >= delta)
-        assert upper_bound_exact(inst) == up
-        assert lower_bound_exact(inst) == low
+        assert upper_bound(inst, EXACT).m_hat == sharp_upper(inst)
+        assert lower_bound(inst, EXACT).m_hat == sharp_lower(inst)
 
 
 def test_duality_on_small_grid():
@@ -173,8 +159,8 @@ def test_duality_on_small_grid():
         for s in range(1, n + 1, 3):
             for k in range(0, s + 1):
                 for delta in (Fraction(1, 20), Fraction(2, 5)):
-                    low = lower_bound_exact(QueryInstance(n, s, k, delta))
-                    up_dual = upper_bound_exact(QueryInstance(n, s, s - k, delta))
+                    low = lower_bound(QueryInstance(n, s, k, delta), EXACT).m_hat
+                    up_dual = upper_bound(QueryInstance(n, s, s - k, delta), EXACT).m_hat
                     assert low == n - up_dual
 
 
@@ -187,11 +173,11 @@ def test_bound_definitions_hold():
         k = rng.randrange(0, s + 1)
         delta = Fraction(rng.randrange(1, 99), 100)
         inst = QueryInstance(n, s, k, delta)
-        mu = upper_bound_exact(inst)
+        mu = upper_bound(inst, EXACT).m_hat
         assert left_tail_exact(n, mu, s, k) >= delta
         if mu < n:
             assert left_tail_exact(n, mu + 1, s, k) < delta
-        md = lower_bound_exact(inst)
+        md = lower_bound(inst, EXACT).m_hat
         assert right_tail_exact(n, md, s, k) >= delta
         if md > 0:
             assert right_tail_exact(n, md - 1, s, k) < delta
@@ -200,19 +186,14 @@ def test_bound_definitions_hold():
 def test_knife_edge_delta_is_included():
     # delta exactly equal to a tail value: that m still qualifies
     d_tie = left_tail_exact(30, 14, 8, 3)
-    assert upper_bound_exact(QueryInstance(30, 8, 3, d_tie)) == 14
+    assert upper_bound(QueryInstance(30, 8, 3, d_tie), EXACT).m_hat == 14
+    d_tie = right_tail_exact(30, 14, 8, 3)
+    assert lower_bound(QueryInstance(30, 8, 3, d_tie), EXACT).m_hat == 14
 
 
 def test_oracle_size_guard():
     with pytest.raises(OracleLimitError):
         left_tail_exact(20_001, 10, 5, 2)
-    with pytest.raises(OracleLimitError):
-        upper_bound_exact(QueryInstance(10**6, 10, 2, 0.05))
-    # bounds whose tail is identically 1 are refused too
-    with pytest.raises(OracleLimitError):
-        upper_bound_exact(QueryInstance(10**6, 100, 100, 0.05))
-    with pytest.raises(OracleLimitError):
-        lower_bound_exact(QueryInstance(10**6, 100, 0, 0.05))
     # configurable: lifting the guard makes the same call work
     assert left_tail_exact(20_001, 10, 5, 2, max_n=None) > 0
     assert pmf_exact(12_000, 6000, 4, 2, max_n=20_000) > 0
@@ -233,9 +214,7 @@ def literal_right(n, m, s, k):
 
 def assert_kernel_matches(n, m, s, k):
     total = math.comb(n, s)
-    left = literal_left(n, m, s, k)
-    assert exact._tail_numerator(n, m, s, k, total) == left
-    assert left_tail_exact(n, m, s, k, max_n=None) == Fraction(left, total)
+    assert left_tail_exact(n, m, s, k, max_n=None) == Fraction(literal_left(n, m, s, k), total)
     assert right_tail_exact(n, m, s, k, max_n=None) == Fraction(literal_right(n, m, s, k), total)
 
 
@@ -255,9 +234,9 @@ def test_kernel_matches_literal_sum(args):
 
 def test_kernel_support_edges():
     n, m, s = 30, 22, 12  # support 4..12
-    assert exact._tail_numerator(n, m, s, 3, math.comb(n, s)) == 0  # k < lo
+    assert left_tail_exact(n, m, s, 3) == 0  # k < lo
     assert left_tail_exact(n, m, s, 0) == 0
-    assert exact._tail_numerator(n, m, s, 12, math.comb(n, s)) == math.comb(n, s)  # k >= hi
+    assert left_tail_exact(n, m, s, 12) == 1  # k >= hi
     assert left_tail_exact(n, 5, s, 5) == 1  # hi = m < s
     for k in range(0, s + 3):
         assert_kernel_matches(n, m, s, k)

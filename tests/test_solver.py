@@ -2,24 +2,28 @@
 
 import math
 import random
+from decimal import localcontext
 from fractions import Fraction
 
 import pytest
 
+from oracle import sharp_lower, sharp_upper
 from sketchbound import (
     DomainError,
     OracleLimitError,
+    PrecisionContext,
     QueryInstance,
     TailEngine,
     left_tail,
     left_tail_exact,
     lower_bound,
-    lower_bound_exact,
+    pmf_exact,
+    right_tail,
+    right_tail_exact,
     upper_bound,
-    upper_bound_exact,
 )
 from sketchbound import solver
-from sketchbound.solver import choose_precision, gap, resolve_engine, start_high
+from sketchbound.solver import choose_precision, resolve_engine, start_high
 
 ENGINES = (TailEngine.DIRECT, TailEngine.STIRLING, TailEngine.EXACT)
 
@@ -46,6 +50,28 @@ def test_resolve_engine_policy():
         resolve_engine("fast", 5)
 
 
+@pytest.mark.parametrize("name", ["direct", "stirling", "exact", "auto"])
+def test_public_tails_resolve_engine_names(name):
+    ctx = PrecisionContext.for_terms(30, 10)
+    for n in (100, 10**6):
+        if name == "exact" and n > 10_000:
+            with pytest.raises(OracleLimitError):
+                left_tail(n, 40, 10, 3, name, ctx)
+            with pytest.raises(OracleLimitError):
+                right_tail(n, 40, 10, 3, name, ctx)
+            continue
+        engine = resolve_engine(name, n)
+        left = left_tail(n, 40, 10, 3, name, ctx)
+        right = right_tail(n, 40, 10, 3, name, ctx)
+        assert left == left_tail(n, 40, 10, 3, engine, ctx)
+        assert right == right_tail(n, 40, 10, 3, engine, ctx)
+        # a floating engine computes in Decimal, the oracle in Fraction
+        assert isinstance(left, Fraction) == (engine is TailEngine.EXACT)
+        if n <= 10_000:
+            assert abs(Fraction(left) - left_tail_exact(n, 40, 10, 3)) < Fraction(1, 10**12)
+            assert abs(Fraction(right) - right_tail_exact(n, 40, 10, 3)) < Fraction(1, 10**12)
+
+
 def test_start_low_uses_sample_proportion_when_it_qualifies(monkeypatch):
     calls = record_tail_calls(monkeypatch)
     # L(20, 8, 5, 2) = 682/969 >= 0.45, so the seed floor(kn/s) = 8 stands
@@ -68,7 +94,7 @@ def test_start_low_falls_back_to_zero(monkeypatch):
     high = start_high(20, 5, 2, big_delta)
     # seed, then the high seed, then the first midpoint of [0, high]
     assert calls[:3] == [8, high, high // 2]
-    assert r.m_hat == upper_bound_exact(inst) < 8
+    assert r.m_hat == sharp_upper(inst) < 8
     # k = 0 seeds at zero without any evaluation: the first tail is the high seed
     calls.clear()
     upper_bound(QueryInstance(20, 5, 0, Fraction(1, 20)), TailEngine.EXACT)
@@ -113,8 +139,8 @@ def test_exact_engine_reproduces_oracle():
         k = rng.randrange(0, s + 1)
         delta = Fraction(rng.randrange(1, 999), 1000)
         inst = QueryInstance(n, s, k, delta)
-        assert upper_bound(inst, TailEngine.EXACT).m_hat == upper_bound_exact(inst)
-        assert lower_bound(inst, TailEngine.EXACT).m_hat == lower_bound_exact(inst)
+        assert upper_bound(inst, TailEngine.EXACT).m_hat == sharp_upper(inst)
+        assert lower_bound(inst, TailEngine.EXACT).m_hat == sharp_lower(inst)
 
 
 def test_exact_engine_handles_knife_edge():
@@ -131,7 +157,7 @@ def test_floating_engines_within_one_of_oracle():
         k = rng.randrange(0, s + 1)
         delta = rng.choice([Fraction(1, 2), Fraction(1, 10), Fraction(1, 20), Fraction(1, 100)])
         inst = QueryInstance(n, s, k, delta)
-        mu = upper_bound_exact(inst)
+        mu = sharp_upper(inst)
         for engine in (TailEngine.DIRECT, TailEngine.STIRLING):
             assert abs(upper_bound(inst, engine).m_hat - mu) <= 1
 
@@ -147,8 +173,6 @@ def test_result_tails_straddle_threshold():
 
 
 def test_lower_bound_tails_are_right_tails():
-    from sketchbound import right_tail_exact
-
     inst = QueryInstance(400, 50, 12, Fraction(1, 20))
     r = lower_bound(inst, TailEngine.EXACT)
     assert r.tail_at_m_hat == right_tail_exact(400, r.m_hat, 50, 12)
@@ -261,32 +285,33 @@ def test_choose_precision_invariants():
         choose_precision(10, 2, 0.05, digits=8)
 
 
+def floating_gap(n, m, s, k, engine):
+    """L(m) - L(m + 1) = p(n, m, s, k) (s - k) / (n - m), at 30 digits."""
+    ctx = PrecisionContext.for_terms(30, k + 1)
+    with localcontext(ctx.context):
+        return Fraction(solver.pmf(n, m, s, k, engine, ctx) * (s - k) / (n - m))
+
+
 def test_gap_matches_consecutive_tail_difference():
     expect = left_tail_exact(10, 5, 4, 2) - left_tail_exact(10, 6, 4, 2)
-    assert gap(10, 5, 4, 2) == expect == Fraction(40, 210)
+    assert pmf_exact(10, 5, 4, 2) * Fraction(2, 5) == expect == Fraction(40, 210)
     for engine in (TailEngine.DIRECT, TailEngine.STIRLING):
-        g = gap(10, 5, 4, 2, engine)
-        assert abs(Fraction(g) - expect) <= expect * Fraction(1, 10**9)
-
-
-def test_gap_edges():
-    assert gap(20, 8, 5, 5) == 0  # k = s
-    with pytest.raises(DomainError):
-        gap(10, 10, 4, 2)
+        g = floating_gap(10, 5, 4, 2, engine)
+        assert abs(g - expect) <= expect * Fraction(1, 10**9)
 
 
 def test_gap_near_trillion_scale_bound():
     # consecutive tails around the reproduced bound differ by about 1e-9,
     # a few parts in ten billion
-    g = gap(10**12, 900_156_008_220, 10**7, 9 * 10**6, TailEngine.STIRLING)
-    assert Fraction(1, 10**10) < Fraction(g) < Fraction(1, 10**8)
+    g = floating_gap(10**12, 900_156_008_220, 10**7, 9 * 10**6, TailEngine.STIRLING)
+    assert Fraction(1, 10**10) < g < Fraction(1, 10**8)
 
 
 def test_delta_accepted_anywhere_in_unit_interval():
     r = upper_bound(QueryInstance(50, 10, 3, 0.999), TailEngine.EXACT)
     assert 0 <= r.m_hat <= 50
     r = upper_bound(QueryInstance(50, 10, 3, Fraction(1, 10**6)), TailEngine.EXACT)
-    assert r.m_hat == upper_bound_exact(QueryInstance(50, 10, 3, Fraction(1, 10**6)))
+    assert r.m_hat == sharp_upper(QueryInstance(50, 10, 3, Fraction(1, 10**6)))
 
 
 def test_instance_validation():
