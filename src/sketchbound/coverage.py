@@ -2,18 +2,24 @@
 
 Draws without-replacement samples from a synthetic population with a known
 success count, computes both bounds for each draw, and reports how often
-they fail.  Each trial gets its own generator derived by hashing
-(seed, trial index), so results are identical however trials are scheduled.
+they fail.  A trial's draw is the u-quantile of hypergeometric(n, m, s), u
+the top 53 bits of a blake2b hash of (seed, trial index), so results do not
+depend on scheduling.  Quantiles are bisected in a CDF table per (n, m, s),
+stepped out from the mode by the exact two-term ratio.  The pmf is
+log-concave, so each side stops at the first term t, next ratio r, where
+t*r/(1-r), a bound on the mass it drops, is below 2^-60 of the running sum.
 """
 
 from __future__ import annotations
 
 import hashlib
-import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 from typing import Union
 
-from .model import DomainError, QueryInstance, TailEngine, as_fraction, check_tail_domain
+from .model import DomainError, QueryInstance, TailEngine, as_fraction, check_tail_domain, support
 from .solver import lower_bound, upper_bound
 
 
@@ -27,26 +33,46 @@ class CoverageReport:
     seed: int
 
 
-def _trial_rng(seed: int, index: int) -> random.Random:
+def _trial_uniform(seed: int, index: int) -> float:
     # hash-derived substream: stable across platforms and schedules
     digest = hashlib.blake2b(f"{seed}:{index}".encode(), digest_size=8).digest()
-    return random.Random(int.from_bytes(digest, "big"))
+    return (int.from_bytes(digest, "big") >> 11) * 2.0 ** -53
 
 
-def sample_successes(n: int, m: int, s: int, rng: random.Random) -> int:
-    """Successes in a uniform without-replacement sample, by sequential draws.
+def _walk(n: int, m: int, s: int, start: int, stop: int, total: float) -> tuple[list, float]:
+    """Terms start+1..stop relative to term start, to the 2^-60 cut, and the new total."""
+    r = n - m - s + 1
+    t, terms = 1.0, []
+    for i in range(start, stop):
+        q = (m - i) * (s - i) / ((i + 1) * (r + i))
+        if t * q < 2.0 ** -60 * total * (1.0 - q):
+            break
+        t *= q
+        terms.append(t)
+        total += t
+    return terms, total
 
-    Each draw succeeds with probability (remaining successes) / (remaining
-    items), which is the exact hypergeometric scheme without materializing
-    the population.
-    """
+
+@lru_cache(maxsize=16)
+def _cdf_table(n: int, m: int, s: int) -> tuple[int, tuple[float, ...]]:
+    """(first index, CDF) of hypergeometric(n, m, s); O(sd) floats, about 17k at the flagship."""
     check_tail_domain(n, m, s)
-    rand = rng.random
-    left = m  # successes not yet drawn
-    for remaining_n in range(n, n - s, -1):
-        if rand() * remaining_n < left:
-            left -= 1
-    return m - left
+    lo, hi = support(n, m, s)
+    mode = (s + 1) * (m + 1) // (n + 2)
+    up, total = _walk(n, m, s, mode, hi, 1.0)
+    # a step down in K is a step up in s - K, hypergeometric(n, n - m, s)
+    down, total = _walk(n, n - m, s, s - mode, s - lo, total)
+    return mode - len(down), tuple(c / total for c in accumulate(down[::-1] + [1.0] + up))
+
+
+def sample_successes(n: int, m: int, s: int, u: float) -> int:
+    """The u-quantile of hypergeometric(n, m, s), for u in [0, 1).
+
+    With u uniform this is the success count of a uniform without-replacement
+    sample of s from n items of which m are successes.
+    """
+    first, cdf = _cdf_table(n, m, s)
+    return first + min(bisect_right(cdf, u), len(cdf) - 1)
 
 
 def coverage_run(n: int, m: int, s: int, delta, trials: int, seed: int,
@@ -65,7 +91,7 @@ def coverage_run(n: int, m: int, s: int, delta, trials: int, seed: int,
     upper_failures = 0
     lower_failures = 0
     for index in range(trials):
-        k = sample_successes(n, m, s, _trial_rng(seed, index))
+        k = sample_successes(n, m, s, _trial_uniform(seed, index))
         cached = bounds_for_k.get(k)
         if cached is None:
             instance = QueryInstance(n, s, k, d)

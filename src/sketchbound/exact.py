@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .model import DomainError, OracleLimitError, check_tail_domain, support
 
@@ -43,6 +44,12 @@ def pmf_exact(n: int, m: int, s: int, j: int,
     if not lo <= j <= hi:
         return Fraction(0)
     return Fraction(math.comb(m, j) * math.comb(n - m, s - j), math.comb(n, s))
+
+
+# every tail of a solve shares C(n, s), as costly as a short tail near the guard
+@lru_cache(maxsize=32)
+def _total(n: int, s: int) -> int:
+    return math.comb(n, s)
 
 
 def _run_sum(n: int, m: int, s: int, a: int, b: int) -> int:
@@ -73,7 +80,7 @@ def left_tail_exact(n: int, m: int, s: int, k: int,
         return Fraction(0)
     if k >= hi:
         return Fraction(1)
-    total = math.comb(n, s)
+    total = _total(n, s)
     if k - lo < hi - k:
         return Fraction(_run_sum(n, m, s, lo, k), total)
     return Fraction(total - _run_sum(n, m, s, k + 1, hi), total)

@@ -1,35 +1,63 @@
 """Coverage simulator: sampling exactness, reproducibility, failure rates."""
 
 import math
-import random
+from fractions import Fraction
 
 import pytest
 
 from sketchbound import DomainError, coverage_run, pmf_exact
-from sketchbound.coverage import _trial_rng, sample_successes
+from sketchbound.coverage import _cdf_table, _trial_uniform, sample_successes
+from sketchbound.model import support
 
 # chi-square 0.999 quantiles by degrees of freedom, from standard tables
 CHI2_999 = {4: 18.467, 5: 20.515, 6: 22.458, 7: 24.322, 8: 26.125, 9: 27.877, 10: 29.588}
+LAST_UNIFORM = 1 - 2.0 ** -53
 
 
 def test_sample_degenerate_populations():
-    rng = random.Random(1)
-    assert sample_successes(50, 50, 12, rng) == 12
-    assert sample_successes(50, 0, 12, rng) == 0
-    assert sample_successes(1, 1, 1, rng) == 1
+    for u in (0.0, 0.5, LAST_UNIFORM):
+        assert sample_successes(50, 50, 12, u) == 12
+        assert sample_successes(50, 0, 12, u) == 0
+        assert sample_successes(1, 1, 1, u) == 1
 
 
 def test_sample_rejects_bad_domains():
-    rng = random.Random(1)
     with pytest.raises(DomainError):
-        sample_successes(10, 11, 4, rng)
+        sample_successes(10, 11, 4, 0.5)
     with pytest.raises(DomainError):
-        sample_successes(10, 5, 0, rng)
+        sample_successes(10, 5, 0, 0.5)
+
+
+def test_sample_is_the_exact_quantile_function():
+    # u at the midpoint of [F(j-1), F(j)) maps to j, F from the exact pmf
+    for n in range(1, 26):
+        for m in range(n + 1):
+            for s in range(1, n + 1):
+                lo, hi = support(n, m, s)
+                below = Fraction(0)
+                for j in range(lo, hi + 1):
+                    upto = below + pmf_exact(n, m, s, j)
+                    assert sample_successes(n, m, s, float((below + upto) / 2)) == j, (n, m, s)
+                    below = upto
+                assert sample_successes(n, m, s, 0.0) == lo
+                assert sample_successes(n, m, s, LAST_UNIFORM) == hi
+
+
+def test_flagship_table_is_bounded_and_centred():
+    n, m, s = 10**12, 9 * 10**11, 10**7
+    first, cdf = _cdf_table(n, m, s)
+    sd = math.sqrt(s * (m / n) * (1 - m / n) * (n - s) / (n - 1))
+    # the 2^-60 cut keeps about nine sd on each side of the mode
+    assert len(cdf) < 20 * sd
+    assert first <= sample_successes(n, m, s, 0.0) < sample_successes(n, m, s, LAST_UNIFORM)
+    # E[K] = first + sum over the table of P(K > j)
+    mean = first + math.fsum(1 - c for c in cdf[:-1])
+    assert abs(mean - s * m / n) < 1e-6 * sd
 
 
 def test_sample_mean_matches_hypergeometric():
     n, m, s, trials = 100, 30, 20, 100_000
-    total = sum(sample_successes(n, m, s, _trial_rng(99, t)) for t in range(trials))
+    total = sum(sample_successes(n, m, s, _trial_uniform(99, t)) for t in range(trials))
     mean = total / trials
     # Var(K) = s m/n (1-m/n) (n-s)/(n-1); three sigma of the trial mean
     var = s * (m / n) * (1 - m / n) * (n - s) / (n - 1)
@@ -41,7 +69,7 @@ def test_sample_distribution_chi_square():
     n, m, s, trials = 40, 15, 10, 100_000
     counts = [0] * (s + 1)
     for t in range(trials):
-        counts[sample_successes(n, m, s, _trial_rng(7, t))] += 1
+        counts[sample_successes(n, m, s, _trial_uniform(7, t))] += 1
     expected = [float(pmf_exact(n, m, s, j)) * trials for j in range(s + 1)]
     # merge sparse cells into their inner neighbor so every expected count >= 5
     bins: list[tuple[float, float]] = []

@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import sketchbound
-from sketchbound import direct, model, stirling
+from sketchbound import coverage, direct, exact, model, stirling
 
 SRC = Path(sketchbound.__file__).parent
 
@@ -75,7 +75,12 @@ def test_every_top_level_name_is_exported_or_used_under_src():
 
 
 def test_module_level_caches_are_bounded():
+    """Every module-level cache has a maxsize.
+
+    The largest entries are coverage's CDF tables: one holds O(sd) floats,
+    about 17k (some 0.5 MB) at n=1e12, m=9e11, s=1e7.
+    """
     caches = [model.decimal_context, direct._falling_cached, stirling.log_factorial,
-              stirling._pi, stirling._ln2pi]
+              stirling._pi, stirling._ln2pi, coverage._cdf_table, exact._total]
     for cache in caches:
         assert cache.cache_info().maxsize is not None, cache

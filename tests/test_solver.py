@@ -143,12 +143,6 @@ def test_exact_engine_reproduces_oracle():
         assert lower_bound(inst, TailEngine.EXACT).m_hat == sharp_lower(inst)
 
 
-def test_exact_engine_handles_knife_edge():
-    d_tie = left_tail_exact(30, 14, 8, 3)
-    r = upper_bound(QueryInstance(30, 8, 3, d_tie), TailEngine.EXACT)
-    assert r.m_hat == 14
-
-
 def test_floating_engines_within_one_of_oracle():
     rng = random.Random(59)
     for _ in range(120):
