@@ -149,7 +149,7 @@ def _cmd_tail(args) -> int:
     digits = _digits_or_env(args)
     if digits is None:
         digits = 30
-    ctx = PrecisionContext.for_terms(digits, k + 1)
+    ctx = PrecisionContext.for_digits(digits)
     fn = left_tail if args.which == "left" else right_tail
     value = fn(n, m, s, k, engine, ctx)
     if args.format == "json":

@@ -28,7 +28,7 @@ class OracleLimitError(DomainError):
 
 
 class PrecisionInfeasibleError(ArithmeticError):
-    """The requested digit count cannot resolve the truncation threshold."""
+    """The requested digit count cannot resolve the terms a tail walk keeps."""
 
 
 class StructuralZeroError(ArithmeticError):
@@ -117,39 +117,31 @@ class PrecisionContext:
     """Arithmetic contract for a tail evaluation.
 
     digits            decimal significant digits for every operation
-    abs_error_target  absolute error allowed in one tail value
-    trunc_threshold   terms below this are dropped from the sum
+    abs_error_target  error allowed in one tail value, absolute and relative
+                      to the tail; a tail walk drops terms summing to at
+                      most a tenth of it relative to the tail
     """
 
     digits: int
     abs_error_target: Decimal
-    trunc_threshold: Decimal
 
     def __post_init__(self):
         if self.digits < 16:
             raise DomainError(f"precision must be at least 16 digits, got {self.digits}")
         if not self.abs_error_target > 0:
             raise DomainError("abs_error_target must be positive")
-        if not 0 < self.trunc_threshold <= self.abs_error_target:
-            raise DomainError("trunc_threshold must lie in (0, abs_error_target]")
 
     @property
     def context(self) -> decimal.Context:
         return decimal_context(self.digits)
 
     @classmethod
-    def for_terms(cls, digits: int, terms: int) -> "PrecisionContext":
-        """Context for a bare tail evaluation summing up to `terms` terms.
-
-        Leaves 8 digits between the roundoff floor and the error target, and
-        splits the target across the terms for truncation.
-        """
+    def for_digits(cls, digits: int) -> "PrecisionContext":
+        """Context for a bare tail evaluation: 8 digits between the roundoff
+        floor and the error target 10^(8 - digits)."""
         if digits < 16:
             raise DomainError(f"precision must be at least 16 digits, got {digits}")
-        with decimal.localcontext(decimal_context(digits)):
-            target = Decimal(1).scaleb(8 - digits)
-            threshold = target / (10 * max(1, terms))
-        return cls(digits=digits, abs_error_target=target, trunc_threshold=threshold)
+        return cls(digits=digits, abs_error_target=Decimal(1).scaleb(8 - digits))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ tail is at or above the failure budget, the high endpoint's below it.  Seeds
 they enter the bracket solely after their tails check out.  Lower bounds
 come from the upper bound of the complemented condition, and every bound
 takes its digit count from the precision chooser, which keeps tail errors
-inside the tail gaps.
+inside the tail gaps.  A floating tail sums outward from one anchor term and
+stops each side on a bound of the mass it drops, relative to the anchor, so
+its error is relative to the tail; right tails are mirrored left tails.
 """
 
 from __future__ import annotations
@@ -66,8 +68,8 @@ def left_tail(n: int, m: int, s: int, k: int, engine: Union[TailEngine, str],
 
     The floating engines differ only in the anchor term, p(j0) at the
     largest term of the truncated sum, which pmf takes from the engine's
-    module; the ratio walk sums the rest, with absolute error within
-    ctx.abs_error_target.
+    module; the ratio walk sums the rest and drops at most a tenth of
+    ctx.abs_error_target relative to the tail.
     """
     if not isinstance(engine, TailEngine):
         engine = resolve_engine(engine, n)
@@ -76,11 +78,11 @@ def left_tail(n: int, m: int, s: int, k: int, engine: Union[TailEngine, str],
     check_tail_domain(n, m, s)
     if k < 0:
         raise DomainError(f"tail index must be >= 0, got k={k}")
-    # A term at the truncation threshold must still move a sum of order 1.
-    if Decimal(1).scaleb(-ctx.digits) > ctx.trunc_threshold:
+    # A term at the walk's cut, target/20 of the anchor, must still move the sum.
+    if Decimal(20).scaleb(-ctx.digits) > ctx.abs_error_target:
         raise PrecisionInfeasibleError(
-            f"{ctx.digits} digits cannot resolve terms at {ctx.trunc_threshold} "
-            f"inside a tail sum; raise the digit count"
+            f"{ctx.digits} digits cannot resolve terms at {ctx.abs_error_target}/20 "
+            f"of a tail sum; raise the digit count"
         )
     j_lo, j_hi = support(n, m, s)
     if k < j_lo:
@@ -103,49 +105,52 @@ def _walk_sum(n: int, m: int, s: int, k: int, j0: int, j_lo: int, anchor: Decima
               ctx: PrecisionContext) -> Decimal:
     """Sum of the tail terms p(j_lo..k) given the anchor term p(j0).
 
-    Walks outward from the anchor with the exact two-term ratio until terms
-    drop below ctx.trunc_threshold, and accumulates each directional run
-    smallest-first.
+    Walks up to k, and down to j_lo as the upward run of s - K in the
+    mirrored population (n, n - m, s); each run drops at most anchor *
+    target / 20, so at most target / 10 relative to the tail.  The terms are
+    added smallest-first.
     """
-    thr = ctx.trunc_threshold
     with localcontext(ctx.context):
-        down: list[Decimal] = []
-        t, j = anchor, j0
-        while j > j_lo:
-            t = t * (j * (n - m - s + j)) / ((m - j + 1) * (s - j + 1))
-            if t < thr:
-                break
-            down.append(t)
-            j -= 1
-        up: list[Decimal] = []
-        t, j = anchor, j0
-        while j < k:
-            t = t * ((m - j) * (s - j)) / ((j + 1) * (n - m - s + j + 1))
-            if t < thr:
-                break
-            up.append(t)
-            j += 1
+        cut = anchor * ctx.abs_error_target / 20
+        down = _run(n, n - m, s, s - j0, s - j_lo, anchor, cut)
+        up = _run(n, m, s, j0, k, anchor, cut)
         total = _ZERO
-        for t in reversed(down):
-            total += t
-        total += anchor
-        for t in reversed(up):
+        for t in down[::-1] + [anchor] + up[::-1]:
             total += t
         return total
 
 
+def _run(n: int, m: int, s: int, j: int, stop: int, t: Decimal, cut: Decimal) -> list[Decimal]:
+    """Terms p(j+1..stop) stepped up from t = p(j), until the mass left is below cut.
+
+    Steps move away from the mode, so by log-concavity the terms from the
+    current one on sum to at most t / (1 - a/b); the cheap t < cut test is first.
+    """
+    terms: list[Decimal] = []
+    r = n - m - s + 1
+    for i in range(j, stop):
+        a = (m - i) * (s - i)
+        b = (i + 1) * (r + i)
+        t = t * a / b
+        if t < cut and t * b < cut * (b - a):
+            break
+        terms.append(t)
+    return terms
+
+
 def right_tail(n: int, m: int, s: int, k: int, engine: Union[TailEngine, str],
                ctx: PrecisionContext) -> TailValue:
-    """P(K >= k): exact directly, floating engines via 1 - left(k-1)."""
+    """P(K >= k) = P(s - K <= s - k), the left tail of the mirrored population (n, n - m, s)."""
     if not isinstance(engine, TailEngine):
         engine = resolve_engine(engine, n)
     if engine is TailEngine.EXACT:
         return exact.right_tail_exact(n, m, s, k)
     check_tail_domain(n, m, s)
-    if k == 0:
-        return _ONE
-    with localcontext(ctx.context):
-        return _ONE - left_tail(n, m, s, k - 1, engine, ctx)
+    if k < 0:
+        raise DomainError(f"tail index must be >= 0, got k={k}")
+    if k > s:
+        return _ZERO
+    return left_tail(n, n - m, s, s - k, engine, ctx)
 
 
 def pmf(n: int, m: int, s: int, j: int, engine: TailEngine,
@@ -168,9 +173,8 @@ def choose_precision(n: int, k: int, delta: Probability,
     The absolute error target is delta/(4nk), half the conservative
     half-gap between consecutive tails near the bound; the digit count
     covers that target with nine digits to spare, never below 16, unless
-    overridden.  The truncation threshold splits a tenth of the target
-    across the k+1 terms.  The arguments come from a validated
-    QueryInstance and are not checked again.
+    overridden.  The arguments come from a validated QueryInstance and are
+    not checked again.
     """
     d = as_fraction(delta)
     target = d / (4 * n * max(k, 1))
@@ -181,9 +185,7 @@ def choose_precision(n: int, k: int, delta: Probability,
         digits = max(16, len(str(scale)) + 9)
     with localcontext(decimal_context(max(digits, 16))):
         target_dec = Decimal(target.numerator) / Decimal(target.denominator)
-        thr = target_dec / (10 * (k + 1))
-    return PrecisionContext(digits=digits, abs_error_target=target_dec,
-                            trunc_threshold=thr)
+    return PrecisionContext(digits=digits, abs_error_target=target_dec)
 
 
 def start_high(n: int, s: int, k: int, delta: Probability) -> int:

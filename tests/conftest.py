@@ -28,7 +28,8 @@ def mp_left_tail():
             p0 = mpmath.exp(lg(m + 1) - lg(j0 + 1) - lg(m - j0 + 1)
                             + lg(n - m + 1) - lg(s - j0 + 1) - lg(n - m - s + j0 + 1)
                             - lg(n + 1) + lg(s + 1) + lg(n - s + 1))
-            eps = mpmath.mpf(10) ** -digits
+            # stop relative to the anchor, so a tiny tail keeps its digits too
+            eps = p0 * mpmath.mpf(10) ** -digits
             total = p0
             t, j = p0, j0
             while j > lo and t > eps:

@@ -7,6 +7,7 @@ Stirling half takes about a second, while the direct half takes about
 SKETCHBOUND_SLOW=1.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -44,6 +45,12 @@ DATA = Path(__file__).parent / "data"
 FLAGSHIP = dict(n=10**12, s=10**7, k=9 * 10**6, delta=Fraction(1, 20))
 FLAGSHIP_UPPER = 900_156_008_220
 FLAGSHIP_LOWER = 899_843_820_749
+
+# sha256 of the oracle sweep's bounds, one "n s k delta engine m_hat" line each.
+# At exact ties (the exact tail at the sharp m equals delta) the computed tail's
+# side of delta rests on which terms the walk drops, so a new stopping rule can
+# move those bounds by one.
+SWEEP_DIGEST = "91b5d3b01e49f9d5f5efec7b8344d7ed82b4cda16181b28fd0b198ac7dd2fec8"
 
 
 def _reproduce_flagship(engine: TailEngine) -> None:
@@ -90,6 +97,8 @@ def test_criterion_2_oracle_sweep():
     engines = (TailEngine.DIRECT, TailEngine.STIRLING)
     t0 = time.monotonic()
     checked = forced_exact = 0
+    # every bound of the sweep, pinned: a change that moves any m_hat fails
+    digest = hashlib.sha256()
     for n in range(1, 61):
         for s in range(1, n + 1):
             table, denom = _tail_table(n, s)
@@ -108,6 +117,7 @@ def test_criterion_2_oracle_sweep():
                     )
                     for engine in engines:
                         got = upper_bound(inst, engine).m_hat
+                        digest.update(f"{n} {s} {k} {delta} {engine.value} {got}\n".encode())
                         assert abs(got - mu) <= 1, (n, s, k, delta, engine, got, mu)
                         if clear:
                             assert got == mu, (n, s, k, delta, engine, got, mu)
@@ -116,6 +126,7 @@ def test_criterion_2_oracle_sweep():
     elapsed = time.monotonic() - t0
     assert checked == 317_200
     assert forced_exact > 0
+    assert digest.hexdigest() == SWEEP_DIGEST, digest.hexdigest()
     assert elapsed <= 120, f"sweep took {elapsed:.0f}s, budget is 2 minutes"
 
 
@@ -130,7 +141,7 @@ def test_criterion_3_gap_theorem():
         k = rng.randrange(0, s + 1)
         exact_gap = left_tail_exact(n, m, s, k) - left_tail_exact(n, m + 1, s, k)
         assert exact_gap == pmf_exact(n, m, s, k) * Fraction(s - k, n - m)
-        ctx = PrecisionContext.for_terms(30, k + 1)
+        ctx = PrecisionContext.for_digits(30)
         for engine in (TailEngine.DIRECT, TailEngine.STIRLING):
             with localcontext(ctx.context):
                 floating = Fraction(solver.pmf(n, m, s, k, engine, ctx) * (s - k) / (n - m))
@@ -163,7 +174,7 @@ def test_criterion_4_duality():
 
 @acceptance
 def test_criterion_5_stirling_accuracy():
-    ctx = PrecisionContext.for_terms(30, 64)
+    ctx = PrecisionContext.for_digits(30)
     with localcontext(decimal_context(45)):
         acc = Decimal(0)
         for h in range(1, 10_001):

@@ -2,10 +2,12 @@
 
 import json
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from sketchbound import left_tail_exact
 from sketchbound.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -126,6 +128,22 @@ def test_tail_right_complement(capsys):
                         "--format", "json")
     payload = json.loads(out)
     assert payload["exact"] == "31/42"  # 155/210 reduced
+
+
+@pytest.mark.parametrize("engine", ["direct", "stirling"])
+@pytest.mark.parametrize("args", [
+    ("--m", "99000", "--k", "960", "--which", "left"),
+    ("--m", "1000", "--k", "40", "--which", "right"),
+])
+def test_small_tails_keep_their_printed_digits(capsys, engine, args):
+    # right(100000, 1000, 1000, 40) = left(100000, 99000, 1000, 960), about 3e-13;
+    # 30 digits leave a 1e-22 target, relative to the tail as well
+    code, out, _ = run_cli(capsys, "tail", "--n", "100000", "--s", "1000", *args,
+                           "--engine", engine, "--format", "json")
+    assert code == 0
+    got = Fraction(json.loads(out)["value"])
+    expect = left_tail_exact(100000, 99000, 1000, 960, max_n=None)
+    assert abs(got - expect) <= expect / 10**22
 
 
 @pytest.mark.parametrize("engine", ["direct", "stirling", "exact"])

@@ -31,7 +31,7 @@ slow = pytest.mark.skipif(
     reason="set SKETCHBOUND_SLOW=1 for full-scale runs",
 )
 
-CTX = PrecisionContext.for_terms(30, 64)
+CTX = PrecisionContext.for_digits(30)
 
 
 def as_frac(value: Decimal) -> Fraction:
@@ -108,7 +108,7 @@ def pmf_args(draw):
 @given(pmf_args())
 def test_pmf_direct_within_one_ulp_of_exact(args):
     n, m, s, j, digits = args
-    got = as_frac(pmf_direct(n, m, s, j, PrecisionContext.for_terms(digits, s + 1)))
+    got = as_frac(pmf_direct(n, m, s, j, PrecisionContext.for_digits(digits)))
     expect = pmf_exact(n, m, s, j)
     assert abs(got - expect) <= expect / 10 ** (digits - 1)
 
@@ -132,7 +132,7 @@ def test_pmf_direct_batch_shaped_anchors_within_one_ulp(n, s):
 
 def test_pmf_direct_tiny_anchor_within_one_ulp():
     n, m, s, j = 10**6, 10**5, 10**4, 9000
-    ctx = PrecisionContext.for_terms(25, s + 1)
+    ctx = PrecisionContext.for_digits(25)
     expect = _exact_pmf(n, m, s, j)
     assert expect < Fraction(1, 10**1000)
     got = as_frac(pmf_direct(n, m, s, j, ctx))
@@ -173,7 +173,7 @@ def test_left_tail_examples():
 
 
 def test_left_tail_mid_instance_close_to_exact():
-    ctx = PrecisionContext.for_terms(30, 61)
+    ctx = PrecisionContext.for_digits(30)
     t = left_tail(1000, 700, 100, 60, TailEngine.DIRECT, ctx)
     expect = left_tail_exact(1000, 700, 100, 60, max_n=None)
     assert abs(as_frac(t) - expect) < Fraction(1, 10**20)
@@ -200,10 +200,9 @@ def test_left_tail_small_instances_within_target():
 
 
 def test_truncation_skips_at_most_budget():
-    loose = PrecisionContext(digits=30, abs_error_target=Decimal("1e-10"),
-                             trunc_threshold=Decimal("1e-13"))
-    full = PrecisionContext(digits=50, abs_error_target=Decimal("1e-10"),
-                            trunc_threshold=Decimal("1e-45"))
+    # the walk drops at most a tenth of the target relative to the tail
+    loose = PrecisionContext(digits=30, abs_error_target=Decimal("1e-10"))
+    full = PrecisionContext(digits=50, abs_error_target=Decimal("1e-40"))
     rng = random.Random(37)
     for _ in range(25):
         n = rng.randrange(50, 2000)
@@ -212,13 +211,13 @@ def test_truncation_skips_at_most_budget():
         k = rng.randrange(0, s + 1)
         a = left_tail(n, m, s, k, TailEngine.DIRECT, loose)
         b = left_tail(n, m, s, k, TailEngine.DIRECT, full)
-        assert abs(a - b) <= (k + 1) * loose.trunc_threshold
-        assert abs(a - b) <= loose.abs_error_target
+        # plus the 30-digit roundings of up to s + 1 terms
+        assert abs(a - b) <= a * loose.abs_error_target / 10 + (s + 1) * Decimal("1e-29")
 
 
 def test_monotone_in_m_near_crossing():
     # computed tails are non-increasing across consecutive m
-    ctx = PrecisionContext.for_terms(30, 40)
+    ctx = PrecisionContext.for_digits(30)
     for m in range(340, 348):
         a = left_tail(1000, m, 50, 14, TailEngine.DIRECT, ctx)
         b = left_tail(1000, m + 1, 50, 14, TailEngine.DIRECT, ctx)
@@ -226,8 +225,7 @@ def test_monotone_in_m_near_crossing():
 
 
 def test_precision_infeasible_signalled():
-    bad = PrecisionContext(digits=16, abs_error_target=Decimal("1e-21"),
-                           trunc_threshold=Decimal("1e-29"))
+    bad = PrecisionContext(digits=16, abs_error_target=Decimal("1e-21"))
     with pytest.raises(PrecisionInfeasibleError):
         left_tail(100, 50, 20, 8, TailEngine.DIRECT, bad)
 
@@ -235,7 +233,7 @@ def test_precision_infeasible_signalled():
 @slow
 def test_trillion_scale_pmf_finite_and_consistent():
     n, m, s, j = 10**12, 9 * 10**11, 10**7, 9 * 10**6
-    ctx = PrecisionContext.for_terms(30, s + 1)
+    ctx = PrecisionContext.for_digits(30)
     p = pmf_direct(n, m, s, j, ctx)
     assert p.is_finite() and p > 0
     lp = log_pmf(n, m, s, j, ctx)

@@ -6,6 +6,8 @@ from decimal import localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from oracle import sharp_lower, sharp_upper
 from sketchbound import (
@@ -52,7 +54,7 @@ def test_resolve_engine_policy():
 
 @pytest.mark.parametrize("name", ["direct", "stirling", "exact", "auto"])
 def test_public_tails_resolve_engine_names(name):
-    ctx = PrecisionContext.for_terms(30, 10)
+    ctx = PrecisionContext.for_digits(30)
     for n in (100, 10**6):
         if name == "exact" and n > 10_000:
             with pytest.raises(OracleLimitError):
@@ -70,6 +72,61 @@ def test_public_tails_resolve_engine_names(name):
         if n <= 10_000:
             assert abs(Fraction(left) - left_tail_exact(n, 40, 10, 3)) < Fraction(1, 10**12)
             assert abs(Fraction(right) - right_tail_exact(n, 40, 10, 3)) < Fraction(1, 10**12)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_right_tail_edges(engine):
+    ctx = PrecisionContext.for_digits(30)
+    with pytest.raises(DomainError):
+        right_tail(100, 40, 10, -1, engine, ctx)
+    assert right_tail(100, 40, 10, 11, engine, ctx) == 0
+    assert right_tail(100, 40, 10, 0, engine, ctx) == 1
+    # the short cuts still check the domain
+    for k in (0, 21):
+        with pytest.raises(DomainError):
+            right_tail(10, 5, 20, k, engine, ctx)
+
+
+@pytest.mark.parametrize("engine", [TailEngine.DIRECT, TailEngine.STIRLING])
+def test_right_tail_is_the_mirrored_left_tail(engine):
+    ctx = PrecisionContext.for_digits(30)
+    rng = random.Random(43)
+    for _ in range(60):
+        n = rng.randrange(1, 10**6)
+        m = rng.randrange(0, n + 1)
+        s = rng.randrange(1, min(n, 300) + 1)
+        k = rng.randrange(0, s + 1)
+        assert right_tail(n, m, s, k, engine, ctx) == left_tail(n, n - m, s, s - k, engine, ctx)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(log_n=st.floats(4, 9), s=st.integers(20, 2000), k_frac=st.floats(0, 1),
+       shift=st.floats(-20, 20), engine=st.sampled_from(["direct", "stirling"]),
+       which=st.sampled_from(["left", "right"]))
+def test_floating_tails_within_target_against_mpmath(log_n, s, k_frac, shift, engine, which,
+                                                     mp_left_tail):
+    """Both error measures, absolute and relative to the tail, within the target."""
+    import mpmath
+
+    n = round(10**log_n)
+    k = round(k_frac * s)
+    # m/n sits about `shift` standard deviations from the sample proportion,
+    # measured in log-odds, so tails run from near 1 down to tiny values
+    p = (k + 0.5) / (s + 1)
+    logit = math.log(p / (1 - p)) + shift / math.sqrt(s * p * (1 - p))
+    m = round(n / (1 + math.exp(-logit)))
+    ctx = PrecisionContext.for_digits(30)
+    if which == "left":
+        got = left_tail(n, m, s, k, engine, ctx)
+        ref = mp_left_tail(n, m, s, k, 60)
+    else:
+        got = right_tail(n, m, s, k, engine, ctx)
+        ref = mp_left_tail(n, n - m, s, s - k, 60)
+    with mpmath.workdps(60):
+        target = mpmath.mpf(str(ctx.abs_error_target))
+        err = abs(mpmath.mpf(str(got)) - ref)
+        assert err <= target, (got, ref)
+        assert err <= target * ref, (got, ref)
 
 
 def test_start_low_uses_sample_proportion_when_it_qualifies(monkeypatch):
@@ -271,7 +328,6 @@ def test_choose_precision_floor_and_scale():
 def test_choose_precision_invariants():
     for n, k, d in [(10, 0, 0.5), (10**9, 10**4, 0.001), (50, 50, 0.99)]:
         ctx = choose_precision(n, k, d)
-        assert ctx.trunc_threshold <= ctx.abs_error_target / (k + 1)
         override = choose_precision(n, k, d, digits=44)
         assert override.digits == 44
         assert override.abs_error_target == ctx.abs_error_target
@@ -281,7 +337,7 @@ def test_choose_precision_invariants():
 
 def floating_gap(n, m, s, k, engine):
     """L(m) - L(m + 1) = p(n, m, s, k) (s - k) / (n - m), at 30 digits."""
-    ctx = PrecisionContext.for_terms(30, k + 1)
+    ctx = PrecisionContext.for_digits(30)
     with localcontext(ctx.context):
         return Fraction(solver.pmf(n, m, s, k, engine, ctx) * (s - k) / (n - m))
 

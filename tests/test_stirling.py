@@ -18,7 +18,7 @@ from sketchbound.model import StructuralZeroError, decimal_context
 from sketchbound.solver import choose_precision
 from sketchbound.stirling import _ln2pi, _series, log_factorial, log_pmf
 
-CTX = PrecisionContext.for_terms(30, 64)
+CTX = PrecisionContext.for_digits(30)
 
 
 def log_sum_oracle(h: int, digits: int = 45) -> Decimal:
@@ -131,7 +131,7 @@ def test_left_tail_examples():
 
 
 def test_left_tail_mid_instance_close_to_exact():
-    ctx = PrecisionContext.for_terms(30, 61)
+    ctx = PrecisionContext.for_digits(30)
     t = left_tail(1000, 700, 100, 60, TailEngine.STIRLING, ctx)
     expect = left_tail_exact(1000, 700, 100, 60, max_n=None)
     assert abs(Fraction(t) - expect) < Fraction(1, 10**18)
