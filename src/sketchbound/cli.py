@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -143,8 +144,6 @@ def _cmd_bound(args) -> int:
 
 def _cmd_tail(args) -> int:
     n, m, s, k = args.n, args.m, args.s, args.k
-    if not 0 <= m <= n:
-        raise DomainError(f"need 0 <= m <= n, got m={m}, n={n}")
     engine = resolve_engine(args.engine, n)
     digits = _digits_or_env(args)
     if digits is None:
@@ -268,20 +267,10 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
-    if not 0 <= args.m <= args.n:
-        raise DomainError(f"need 0 <= m <= n, got m={args.m}, n={args.n}")
     report = coverage_run(args.n, args.m, args.s, args.delta, args.trials,
                           args.seed, engine=args.engine, digits=_digits_or_env(args))
     if args.format == "json":
-        payload = {
-            "trials": report.trials,
-            "upper_failures": report.upper_failures,
-            "lower_failures": report.lower_failures,
-            "empirical_upper_rate": report.empirical_upper_rate,
-            "empirical_lower_rate": report.empirical_lower_rate,
-            "seed": report.seed,
-        }
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(asdict(report), indent=2))
     else:
         print(f"trials={report.trials} seed={report.seed}")
         print(f"upper: failures={report.upper_failures} rate={report.empirical_upper_rate}")

@@ -31,10 +31,6 @@ class PrecisionInfeasibleError(ArithmeticError):
     """The requested digit count cannot resolve the terms a tail walk keeps."""
 
 
-class StructuralZeroError(ArithmeticError):
-    """Log of a structurally zero probability was requested."""
-
-
 class TailEngine(enum.Enum):
     """Strategy used to evaluate hypergeometric tails."""
 
@@ -149,7 +145,8 @@ class BoundResult:
     """A computed bound with its certificate.
 
     For side "upper", tail_at_m_hat is the computed left tail at m_hat and
-    tail_at_m_hat_plus_1 the one at m_hat + 1; they straddle delta_used.
+    tail_at_m_hat_plus_1 the one at m_hat + 1; they straddle the exact
+    rational delta_used.
     For side "lower" the fields hold the right tails at m_hat and at
     m_hat - 1 (the straddle partner below the bound), which equal the left
     tails of the dual search at n - m_hat and n - m_hat + 1.  digits is the

@@ -27,7 +27,6 @@ from .model import (
     PrecisionInfeasibleError,
     Probability,
     QueryInstance,
-    StructuralZeroError,
     TailEngine,
     as_fraction,
     check_tail_domain,
@@ -158,12 +157,7 @@ def pmf(n: int, m: int, s: int, j: int, engine: TailEngine,
     """P(K = j) under a floating engine: the anchor term of a tail."""
     if engine is TailEngine.DIRECT:
         return direct.pmf_direct(n, m, s, j, ctx)
-    try:
-        lp = stirling.log_pmf(n, m, s, j, ctx)
-    except StructuralZeroError:
-        return _ZERO
-    with localcontext(ctx.context):
-        return lp.exp()
+    return ctx.context.exp(stirling.log_pmf(n, m, s, j, ctx))
 
 
 def choose_precision(n: int, k: int, delta: Probability,
@@ -177,15 +171,13 @@ def choose_precision(n: int, k: int, delta: Probability,
     not checked again.
     """
     d = as_fraction(delta)
-    target = d / (4 * n * max(k, 1))
+    denominator = 4 * n * max(k, 1) * d.denominator
     if digits is None:
         # digits of the integer part of 1/target; equals ceil(log10(1/target))
         # except at exact powers of ten, where it adds one conservative digit
-        scale = (4 * n * max(k, 1) * d.denominator) // d.numerator
-        digits = max(16, len(str(scale)) + 9)
-    with localcontext(decimal_context(max(digits, 16))):
-        target_dec = Decimal(target.numerator) / Decimal(target.denominator)
-    return PrecisionContext(digits=digits, abs_error_target=target_dec)
+        digits = max(16, len(str(denominator // d.numerator)) + 9)
+    target = decimal_context(max(digits, 16)).divide(d.numerator, denominator)
+    return PrecisionContext(digits=digits, abs_error_target=target)
 
 
 def start_high(n: int, s: int, k: int, delta: Probability) -> int:
@@ -202,21 +194,15 @@ def upper_bound(instance: QueryInstance, engine: Union[TailEngine, str] = "auto"
     """Largest m whose computed left tail still meets the failure budget.
 
     The result's two recorded tails straddle the budget: tail(m_hat) >=
-    delta > tail(m_hat + 1) as computed.  The digit count comes from
-    choose_precision(n, k, delta, digits), so tail errors stay inside the
-    consecutive-tail gaps and m_hat is within one of the sharp bound.
+    delta > tail(m_hat + 1) as computed, against the exact rational delta.
+    The digit count comes from choose_precision(n, k, delta, digits), so
+    tail errors stay inside the consecutive-tail gaps and m_hat is within
+    one of the sharp bound.
     """
     n, s, k, delta = instance.n, instance.s, instance.k, instance.delta
     eng = resolve_engine(engine, n)
     ctx = choose_precision(n, k, delta, digits)
-    if eng is TailEngine.EXACT:
-        one: TailValue = Fraction(1)
-        zero: TailValue = Fraction(0)
-        threshold: TailValue = delta
-    else:
-        one, zero = _ONE, _ZERO
-        with localcontext(ctx.context):
-            threshold = Decimal(delta.numerator) / Decimal(delta.denominator)
+    one, zero = (Fraction(1), Fraction(0)) if eng is TailEngine.EXACT else (_ONE, _ZERO)
     if k == s:
         # left tail is identically 1; nothing to search
         return BoundResult(n, "upper", delta, eng, one, zero, 0, ctx.digits)
@@ -228,7 +214,7 @@ def upper_bound(instance: QueryInstance, engine: Union[TailEngine, str] = "auto"
     if seed > 0:
         t = left_tail(n, seed, s, k, eng, ctx)
         evals += 1
-        if t >= threshold:
+        if t >= delta:
             lo, t_lo = seed, t
     # first m whose tail is structurally zero; always a valid high endpoint
     zero_m = n - (s - k) + 1
@@ -238,14 +224,14 @@ def upper_bound(instance: QueryInstance, engine: Union[TailEngine, str] = "auto"
     else:
         t_hi = left_tail(n, hi, s, k, eng, ctx)
         evals += 1
-        if not t_hi < threshold:
+        if not t_hi < delta:
             hi, t_hi = zero_m, zero
 
     while hi - lo > 1:
         mid = (lo + hi) // 2
         t = left_tail(n, mid, s, k, eng, ctx)
         evals += 1
-        if t >= threshold:
+        if t >= delta:
             lo, t_lo = mid, t
         else:
             hi, t_hi = mid, t

@@ -23,7 +23,6 @@ from functools import lru_cache
 from .model import (
     DomainError,
     PrecisionContext,
-    StructuralZeroError,
     check_tail_domain,
     decimal_context,
     support,
@@ -35,9 +34,9 @@ _bernoulli_memo: list[Fraction] = [Fraction(1)]
 
 
 @lru_cache(maxsize=64)
-def _pi(digits: int) -> Decimal:
-    """pi at the requested precision, by the classic converging series."""
-    with localcontext(decimal_context(digits + 4)):
+def _ln2pi(digits: int) -> Decimal:
+    """ln(2 pi) at the requested precision, pi by the classic converging series."""
+    with localcontext(decimal_context(digits + 8)):
         three = Decimal(3)
         lasts, t, s, n, na, d, da = Decimal(0), three, three, 1, 0, 0, 24
         while s != lasts:
@@ -46,15 +45,8 @@ def _pi(digits: int) -> Decimal:
             d, da = d + da, da + 32
             t = (t * n) / d
             s += t
-    with localcontext(decimal_context(digits)):
-        return +s
-
-
-@lru_cache(maxsize=64)
-def _ln2pi(digits: int) -> Decimal:
-    """ln(2 pi) at the requested precision, never a fixed-width literal."""
     with localcontext(decimal_context(digits + 4)):
-        value = (2 * _pi(digits + 4)).ln()
+        value = (2 * (+s)).ln()
     with localcontext(decimal_context(digits)):
         return +value
 
@@ -118,13 +110,14 @@ def log_pmf(n: int, m: int, s: int, j: int, ctx: PrecisionContext) -> Decimal:
 
     The log factorials, of size up to n ln n, cancel down to a value of a
     few units, so they and their sum are evaluated with as many extra
-    digits as n log2(n) has; the result is rounded to ctx.digits.
-    Raises StructuralZeroError when the pmf is zero; callers must screen.
+    digits as n log2(n) has; the result is rounded to ctx.digits.  Outside
+    the support the pmf is zero and the result is -Infinity, whose exp() is
+    exactly 0.
     """
     check_tail_domain(n, m, s)
     j_lo, j_hi = support(n, m, s)
     if j < j_lo or j > j_hi:
-        raise StructuralZeroError(f"pmf(n={n}, m={m}, s={s}, j={j}) is zero")
+        return Decimal("-Infinity")
     if j_lo == j_hi:
         # single-point support: the probability is exactly 1
         return _ZERO

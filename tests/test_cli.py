@@ -156,6 +156,16 @@ def test_right_tail_at_zero_checks_domain(capsys, engine):
     assert "sample size" in err
 
 
+@pytest.mark.parametrize("which", ["left", "right"])
+@pytest.mark.parametrize("engine", ["direct", "stirling", "exact"])
+def test_tail_success_count_above_population_exits_2(capsys, engine, which):
+    code, out, err = run_cli(capsys, "tail", "--n", "10", "--m", "11", "--s", "5",
+                             "--k", "2", "--which", which, "--engine", engine)
+    assert code == 2
+    assert out == ""
+    assert "success count" in err
+
+
 def test_batch_golden(capsys, tmp_path):
     batch = tmp_path / "conditions.txt"
     batch.write_text(
@@ -284,6 +294,14 @@ def test_coverage_zero_trials_exits_2(capsys):
     code, _, err = run_cli(capsys, "coverage", "--n", "200", "--m", "70", "--s", "25",
                            "--delta", "0.1", "--trials", "0", "--seed", "1")
     assert code == 2
+
+
+def test_coverage_success_count_above_population_exits_2(capsys):
+    code, out, err = run_cli(capsys, "coverage", "--n", "200", "--m", "201", "--s", "25",
+                             "--delta", "0.1", "--trials", "60", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert "success count" in err
 
 
 def test_domain_error_exits_2(capsys):

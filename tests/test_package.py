@@ -81,6 +81,6 @@ def test_module_level_caches_are_bounded():
     about 17k (some 0.5 MB) at n=1e12, m=9e11, s=1e7.
     """
     caches = [model.decimal_context, direct._falling_cached, stirling.log_factorial,
-              stirling._pi, stirling._ln2pi, coverage._cdf_table, exact._total]
+              stirling._ln2pi, coverage._cdf_table, exact._total]
     for cache in caches:
         assert cache.cache_info().maxsize is not None, cache

@@ -2,7 +2,7 @@
 
 import math
 import random
-from decimal import localcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -221,6 +221,17 @@ def test_result_tails_straddle_threshold():
             assert Fraction(r.tail_at_m_hat) >= d > Fraction(r.tail_at_m_hat_plus_1)
             rl = lower_bound(QueryInstance(n, s, k, d), engine)
             assert Fraction(rl.tail_at_m_hat) >= d > Fraction(rl.tail_at_m_hat_plus_1)
+
+
+def test_certificate_straddles_the_exact_delta(monkeypatch):
+    # 16 digits of 1/3 lie just below it: a tail that equals them fails the budget
+    def fake_tail(n, m, s, k, engine, ctx):
+        return Decimal("0.3333333333333333") if m <= 50 else Decimal("0.1")
+
+    monkeypatch.setattr(solver, "left_tail", fake_tail)
+    d = Fraction(1, 3)
+    r = upper_bound(QueryInstance(100, 10, 5, d), TailEngine.STIRLING, digits=16)
+    assert Fraction(r.tail_at_m_hat) >= d > Fraction(r.tail_at_m_hat_plus_1)
 
 
 def test_lower_bound_tails_are_right_tails():

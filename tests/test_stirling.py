@@ -14,8 +14,9 @@ from sketchbound import (
     left_tail_exact,
     pmf_exact,
 )
-from sketchbound.model import StructuralZeroError, decimal_context
-from sketchbound.solver import choose_precision
+from sketchbound.direct import pmf_direct
+from sketchbound.model import decimal_context
+from sketchbound.solver import choose_precision, pmf
 from sketchbound.stirling import _ln2pi, _series, log_factorial, log_pmf
 
 CTX = PrecisionContext.for_digits(30)
@@ -96,11 +97,10 @@ def test_log_pmf_examples():
     assert log_pmf(5, 5, 3, 3, CTX) == 0
 
 
-def test_log_pmf_structural_zero_raises():
-    with pytest.raises(StructuralZeroError):
-        log_pmf(10, 2, 4, 3, CTX)
-    with pytest.raises(StructuralZeroError):
-        log_pmf(10, 8, 4, 0, CTX)
+def test_log_pmf_outside_support_is_minus_infinity():
+    for n, m, s, j in [(10, 2, 4, 3), (10, 8, 4, 0)]:
+        assert log_pmf(n, m, s, j, CTX) == Decimal("-Infinity")
+        assert pmf(n, m, s, j, TailEngine.STIRLING, CTX) == 0 == pmf_direct(n, m, s, j, CTX)
 
 
 def test_exp_log_pmf_matches_exact():
