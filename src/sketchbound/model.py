@@ -140,7 +140,7 @@ class PrecisionContext:
         return cls(digits=digits, abs_error_target=Decimal(1).scaleb(8 - digits))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundResult:
     """A computed bound with its certificate.
 

@@ -1,8 +1,12 @@
 """Sharp bounds from tail evaluations.
 
-Binary search over m with a verified bracket: the low endpoint's computed
-tail is at or above the failure budget, the high endpoint's below it.  Seeds
-(the sample proportion for low, a Hoeffding bound for high) are hints only;
+A safeguarded secant search over m with a verified bracket: the low
+endpoint's computed tail is at or above the failure budget, the high
+endpoint's below it.  Each step takes the secant of ln tail(m) - ln delta
+through the last two points and bisects instead when that leaves the
+bracket, meets a zero tail, or could overrun the ceil(log2 n) + 2
+evaluation budget; only a computed tail moves an endpoint.  Seeds (the
+sample proportion for low, a Hoeffding bound for high) are hints only;
 they enter the bracket solely after their tails check out.  Lower bounds
 come from the upper bound of the complemented condition, and every bound
 takes its digit count from the precision chooser, which keeps tail errors
@@ -182,10 +186,7 @@ def choose_precision(n: int, k: int, delta: Probability,
 
 def start_high(n: int, s: int, k: int, delta: Probability) -> int:
     """Hoeffding seed for the high endpoint; the caller verifies its tail."""
-    d = as_fraction(delta)
-    # ln(1/delta) from the integer parts, safe for arbitrarily small delta
-    log_inv = math.log(d.denominator) - math.log(d.numerator)
-    radical = math.sqrt(log_inv / (2 * s))
+    radical = math.sqrt(-_ln(as_fraction(delta)) / (2 * s))
     return min(math.ceil(n * (k / s + radical)), n)
 
 
@@ -216,10 +217,11 @@ def upper_bound(instance: QueryInstance, engine: Union[TailEngine, str] = "auto"
         evals += 1
         if t >= delta:
             lo, t_lo = seed, t
-    # first m whose tail is structurally zero; always a valid high endpoint
+    # first m whose tail is structurally zero: a valid high endpoint with no
+    # evaluation, taken whenever the Hoeffding seed reaches it
     zero_m = n - (s - k) + 1
     hi = start_high(n, s, k, delta)
-    if hi <= lo:
+    if hi <= lo or hi >= zero_m:
         hi, t_hi = zero_m, zero
     else:
         t_hi = left_tail(n, hi, s, k, eng, ctx)
@@ -227,15 +229,38 @@ def upper_bound(instance: QueryInstance, engine: Union[TailEngine, str] = "auto"
         if not t_hi < delta:
             hi, t_hi = zero_m, zero
 
+    # secant on f(m) = ln tail(m) - ln delta through the last two points
+    # (first the bracket's ends); bisect when it leaves the bracket, meets a
+    # zero tail, has at most one m to choose from, or could not finish
+    # bisecting inside ceil(log2 n) + 2 evaluations
+    budget = (n - 1).bit_length() + 2
+    ln_delta = _ln(delta)
+    a, t_a, b, t_b = lo, t_lo, hi, t_hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
+        if hi - lo > 2 and t_a and t_b and evals + (hi - lo - 1).bit_length() < budget:
+            f_a, f_b = _ln(t_a) - ln_delta, _ln(t_b) - ln_delta
+            if f_a != f_b:
+                x = b - f_b * (b - a) / (f_b - f_a)
+                if lo - 1 <= x <= hi + 1:
+                    mid = min(max(math.floor(x), lo + 1), hi - 1)
         t = left_tail(n, mid, s, k, eng, ctx)
         evals += 1
         if t >= delta:
             lo, t_lo = mid, t
         else:
             hi, t_hi = mid, t
+        a, t_a, b, t_b = b, t_b, mid, t
     return BoundResult(lo, "upper", delta, eng, t_lo, t_hi, evals, ctx.digits)
+
+
+def _ln(x: TailValue) -> float:
+    """ln x in float for x > 0, from the decimal exponent and mantissa or the
+    integer parts, so that neither a tail of 1e-400 nor a huge Fraction underflows."""
+    if isinstance(x, Decimal):
+        e = x.adjusted()
+        return math.log(float(x.scaleb(-e))) + e * math.log(10)
+    return math.log(x.numerator) - math.log(x.denominator)
 
 
 def lower_bound(instance: QueryInstance, engine: Union[TailEngine, str] = "auto",

@@ -2,8 +2,8 @@
 
 The per-criterion pass/fail summary is printed by the conftest hook at the
 end of the run.  Criterion 1 reproduces the trillion-item result: the
-Stirling half takes about a second, while the direct half takes about
-2 minutes (both sides, 107-139 s on a 2-vCPU VM) and is opt-in via
+Stirling half takes about a second, while the direct half takes about a
+minute (both sides, 54-55 s on a 2-vCPU VM) and is opt-in via
 SKETCHBOUND_SLOW=1.
 """
 
@@ -73,7 +73,7 @@ def test_criterion_1_paper_reproduction_stirling():
 @slow
 @pytest.mark.slow
 def test_criterion_1_paper_reproduction_direct():
-    # about 2 minutes for both sides on a 2-vCPU VM: each of the ~60 anchors is O(s)
+    # about a minute for both sides on a 2-vCPU VM: each of the 19 anchors is O(s)
     _reproduce_flagship(TailEngine.DIRECT)
 
 

@@ -1,4 +1,4 @@
-"""Bound solver: seeds, brackets, bisection, duality, precision selection."""
+"""Bound solver: seeds, brackets, the secant search, duality, precision selection."""
 
 import math
 import random
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracle import sharp_lower, sharp_upper
+from oracle import bisect_lower, bisect_upper, sharp_lower, sharp_upper
 from sketchbound import (
     DomainError,
     OracleLimitError,
@@ -30,17 +30,28 @@ from sketchbound.solver import choose_precision, resolve_engine, start_high
 ENGINES = (TailEngine.DIRECT, TailEngine.STIRLING, TailEngine.EXACT)
 
 
-def record_tail_calls(monkeypatch) -> list[int]:
-    """The m of every tail the solver evaluates, in order."""
+def record_tail_calls(monkeypatch) -> list[tuple[int, object]]:
+    """(m, tail) of every tail the solver evaluates, in order."""
     calls = []
     real = solver.left_tail
 
     def spy(n, m, s, k, engine, ctx):
-        calls.append(m)
-        return real(n, m, s, k, engine, ctx)
+        t = real(n, m, s, k, engine, ctx)
+        calls.append((m, t))
+        return t
 
     monkeypatch.setattr(solver, "left_tail", spy)
     return calls
+
+
+def assert_certificate_computed(calls, inst, r):
+    """Both certificate tails are tails the solver computed, or structural:
+    1 at m = 0 and 0 from m = n - (s - k) + 1 on, neither evaluated."""
+    tails = dict(calls)
+    zero_m = inst.n - (inst.s - inst.k) + 1
+    assert r.tail_at_m_hat == (tails[r.m_hat] if r.m_hat else 1)
+    assert r.tail_at_m_hat_plus_1 == (tails[r.m_hat + 1] if r.m_hat + 1 < zero_m else 0)
+    assert r.iterations == len(calls)
 
 
 def test_resolve_engine_policy():
@@ -133,12 +144,15 @@ def test_start_low_uses_sample_proportion_when_it_qualifies(monkeypatch):
     calls = record_tail_calls(monkeypatch)
     # L(20, 8, 5, 2) = 682/969 >= 0.45, so the seed floor(kn/s) = 8 stands
     assert left_tail_exact(20, 8, 5, 2) >= Fraction(9, 20)
-    r = upper_bound(QueryInstance(20, 5, 2, Fraction(9, 20)), TailEngine.EXACT)
+    inst = QueryInstance(20, 5, 2, Fraction(9, 20))
+    r = upper_bound(inst, TailEngine.EXACT)
     # evaluated first, then kept as the low endpoint: nothing at or below it
     # is evaluated again
-    assert calls[0] == 8
-    assert min(calls[1:]) > 8
-    assert r.m_hat >= 8
+    ms = [m for m, _ in calls]
+    assert ms[0] == 8
+    assert min(ms[1:]) > 8
+    assert r.m_hat == sharp_upper(inst) >= 8
+    assert_certificate_computed(calls, inst, r)
 
 
 def test_start_low_falls_back_to_zero(monkeypatch):
@@ -148,15 +162,32 @@ def test_start_low_falls_back_to_zero(monkeypatch):
     assert left_tail_exact(20, 8, 5, 2) < big_delta
     inst = QueryInstance(20, 5, 2, big_delta)
     r = upper_bound(inst, TailEngine.EXACT)
-    high = start_high(20, 5, 2, big_delta)
-    # seed, then the high seed, then the first midpoint of [0, high]
-    assert calls[:3] == [8, high, high // 2]
+    # the seed, then the high seed; the low endpoint 0 is never evaluated
+    ms = [m for m, _ in calls]
+    assert ms[:2] == [8, start_high(20, 5, 2, big_delta)]
+    assert 0 not in ms
     assert r.m_hat == sharp_upper(inst) < 8
+    assert_certificate_computed(calls, inst, r)
     # k = 0 seeds at zero without any evaluation: the first tail is the high seed
     calls.clear()
-    upper_bound(QueryInstance(20, 5, 0, Fraction(1, 20)), TailEngine.EXACT)
-    assert calls[0] == start_high(20, 5, 0, Fraction(1, 20))
-    assert 0 not in calls
+    inst = QueryInstance(20, 5, 0, Fraction(1, 20))
+    r = upper_bound(inst, TailEngine.EXACT)
+    ms = [m for m, _ in calls]
+    assert ms[0] == start_high(20, 5, 0, Fraction(1, 20))
+    assert 0 not in ms
+    assert_certificate_computed(calls, inst, r)
+
+
+def test_structurally_zero_high_seed_is_not_evaluated(monkeypatch):
+    calls = record_tail_calls(monkeypatch)
+    # the Hoeffding seed clamps at n, where no m from n - (s - k) + 1 = n on
+    # can have a tail above 0: that m is the high endpoint, unevaluated
+    inst = QueryInstance(10**6, 100, 99, Fraction(1, 20))
+    assert start_high(10**6, 100, 99, inst.delta) == 10**6
+    r = upper_bound(inst, TailEngine.STIRLING)
+    assert 10**6 not in [m for m, _ in calls]
+    assert r.m_hat == 999_487
+    assert_certificate_computed(calls, inst, r)
 
 
 def test_start_high_formula():
@@ -301,6 +332,39 @@ def test_iteration_budget():
         budget = math.ceil(math.log2(inst.n)) + 2
         assert upper_bound(inst, engine).iterations <= budget
         assert lower_bound(inst, engine).iterations <= budget
+
+
+SEARCH_CASES = [
+    (n, s, k, delta)
+    for n, s in [(10**7, 1000), (10**9, 2000), (10**12, 4000)]
+    for k in (0, 1, 100, s // 2, s - 100, s - 1)
+    for delta in (Fraction(1, 20), Fraction(1, 10**8))
+]
+
+
+@pytest.mark.parametrize("engine", [TailEngine.STIRLING, TailEngine.DIRECT])
+def test_search_agrees_with_plain_bisection(engine):
+    """The secant search keeps a verified bracket, so it must end where
+    bisection over the same computed tails ends: same m_hat, same two
+    certificate tails, and inside the ceil(log2 n) + 2 budget."""
+    for n, s, k, delta in SEARCH_CASES:
+        inst = QueryInstance(n, s, k, delta)
+        budget = math.ceil(math.log2(n)) + 2
+        for r, (m_hat, t_at, t_next) in [(upper_bound(inst, engine), bisect_upper(inst, engine)),
+                                         (lower_bound(inst, engine), bisect_lower(inst, engine))]:
+            case = (n, s, k, delta, r.side)
+            assert r.m_hat == m_hat, case
+            assert r.tail_at_m_hat == t_at, case
+            assert r.tail_at_m_hat_plus_1 == t_next, case
+            assert r.iterations <= budget, case
+
+
+def test_flagship_upper_bound_takes_few_evaluations():
+    inst = QueryInstance(10**12, 10**7, 9 * 10**6, Fraction(1, 20))
+    r = upper_bound(inst, TailEngine.STIRLING)
+    assert r.m_hat == 900_156_008_220
+    # bisection from the same seeds took 31
+    assert r.iterations <= 12
 
 
 def test_computed_tails_monotone_near_bound():

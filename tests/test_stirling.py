@@ -177,13 +177,17 @@ def test_default_table_cache_is_bounded():
 
     cap = log_factorial.cache_info().maxsize
     assert cap == 4096
+    log_factorial.cache_clear()
     rng = random.Random(53)
-    for _ in range(60):
+    # bounds at fresh populations until they have made more distinct values
+    # than the cap holds (about 110 bounds)
+    for _ in range(400):
         n = rng.randrange(10**6, 10**8)
         s = rng.randrange(500, 2000)
         k = rng.randrange(0, s)
         upper_bound(QueryInstance(n, s, k, Fraction(1, 20)), "stirling")
-    # 60 bounds make more distinct values than the cap holds
+        if log_factorial.cache_info().currsize == cap:
+            break
     assert log_factorial.cache_info().currsize == cap
 
     for h in range(10**6, 10**6 + cap + 1):
