@@ -66,13 +66,15 @@ def resolve_engine(engine: Union[TailEngine, str], n: int) -> TailEngine:
 
 
 def left_tail(n: int, m: int, s: int, k: int, engine: Union[TailEngine, str],
-              ctx: PrecisionContext) -> TailValue:
+              ctx: PrecisionContext, *, anchors: dict | None = None) -> TailValue:
     """P(K <= k) under the chosen engine ('auto' allowed).
 
     The floating engines differ only in the anchor term, p(j0) at the
     largest term of the truncated sum, which pmf takes from the engine's
     module; the ratio walk sums the rest and drops at most a tenth of
-    ctx.abs_error_target relative to the tail.
+    ctx.abs_error_target relative to the tail.  `anchors` is one solve's
+    memory of direct anchors (see direct.pmf_direct); the other engines
+    ignore it.
     """
     if not isinstance(engine, TailEngine):
         engine = resolve_engine(engine, n)
@@ -94,7 +96,8 @@ def left_tail(n: int, m: int, s: int, k: int, engine: Union[TailEngine, str],
         # the sum covers the entire support
         return _ONE
     j0 = _anchor_index(n, m, s, k, j_lo)
-    return _walk_sum(n, m, s, k, j0, j_lo, pmf(n, m, s, j0, engine, ctx), ctx)
+    anchor = pmf(n, m, s, j0, engine, ctx, anchors=anchors)
+    return _walk_sum(n, m, s, k, j0, j_lo, anchor, ctx)
 
 
 def _anchor_index(n: int, m: int, s: int, k: int, j_lo: int) -> int:
@@ -157,10 +160,10 @@ def right_tail(n: int, m: int, s: int, k: int, engine: Union[TailEngine, str],
 
 
 def pmf(n: int, m: int, s: int, j: int, engine: TailEngine,
-        ctx: PrecisionContext) -> Decimal:
+        ctx: PrecisionContext, *, anchors: dict | None = None) -> Decimal:
     """P(K = j) under a floating engine: the anchor term of a tail."""
     if engine is TailEngine.DIRECT:
-        return direct.pmf_direct(n, m, s, j, ctx)
+        return direct.pmf_direct(n, m, s, j, ctx, anchors=anchors)
     return ctx.context.exp(stirling.log_pmf(n, m, s, j, ctx))
 
 
@@ -208,12 +211,15 @@ def upper_bound(instance: QueryInstance, engine: Union[TailEngine, str] = "auto"
         # left tail is identically 1; nothing to search
         return BoundResult(n, "upper", delta, eng, one, zero, 0, ctx.digits)
 
+    # this solve's direct anchors, from which later ones are derived in
+    # O(|m - m0|); it lives for this call only, so no request reuses another's
+    anchors: dict = {}
     # low seed: the sample proportion if its tail qualifies, else 0, whose
     # tail is exactly 1 (the sample cannot contain a success)
     lo, t_lo, evals = 0, one, 0
     seed = (k * n) // s
     if seed > 0:
-        t = left_tail(n, seed, s, k, eng, ctx)
+        t = left_tail(n, seed, s, k, eng, ctx, anchors=anchors)
         evals += 1
         if t >= delta:
             lo, t_lo = seed, t
@@ -224,7 +230,7 @@ def upper_bound(instance: QueryInstance, engine: Union[TailEngine, str] = "auto"
     if hi <= lo or hi >= zero_m:
         hi, t_hi = zero_m, zero
     else:
-        t_hi = left_tail(n, hi, s, k, eng, ctx)
+        t_hi = left_tail(n, hi, s, k, eng, ctx, anchors=anchors)
         evals += 1
         if not t_hi < delta:
             hi, t_hi = zero_m, zero
@@ -244,7 +250,7 @@ def upper_bound(instance: QueryInstance, engine: Union[TailEngine, str] = "auto"
                 x = b - f_b * (b - a) / (f_b - f_a)
                 if lo - 1 <= x <= hi + 1:
                     mid = min(max(math.floor(x), lo + 1), hi - 1)
-        t = left_tail(n, mid, s, k, eng, ctx)
+        t = left_tail(n, mid, s, k, eng, ctx, anchors=anchors)
         evals += 1
         if t >= delta:
             lo, t_lo = mid, t

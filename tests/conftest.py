@@ -1,14 +1,42 @@
-"""Shared test plumbing: a repeatable hypothesis profile, an mpmath tail
-reference for the floating engines, and a per-criterion summary for the
-acceptance suite."""
+"""Shared test plumbing: a repeatable hypothesis profile, the opt-in gate
+for slow tests, a record of full direct anchors, an mpmath tail reference
+for the floating engines, and a per-criterion summary for the acceptance
+suite."""
+
+import os
 
 import pytest
 from hypothesis import settings
+
+from sketchbound import direct
 
 # Same examples on every run; no per-example deadline on a loaded machine.
 settings.register_profile("sketchbound", derandomize=True, deadline=None)
 settings.load_profile("sketchbound")
 
+
+def pytest_collection_modifyitems(config, items):
+    """Skip every @pytest.mark.slow test unless SKETCHBOUND_SLOW is set."""
+    if os.environ.get("SKETCHBOUND_SLOW"):
+        return
+    skip = pytest.mark.skip(reason="set SKETCHBOUND_SLOW=1 for full-scale runs")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)
+
+
+@pytest.fixture
+def full_anchors(monkeypatch) -> list:
+    """(n, s, bits) of every direct anchor computed in full, not derived."""
+    seen = []
+    real = direct._falling_cached
+
+    def spy(n, s, bits):
+        seen.append((n, s, bits))
+        return real(n, s, bits)
+
+    monkeypatch.setattr(direct, "_falling_cached", spy)
+    return seen
 
 
 @pytest.fixture

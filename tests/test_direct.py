@@ -1,7 +1,6 @@
 """Direct engine: falling-product anchors, ratio walks, truncation."""
 
 import math
-import os
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -25,11 +24,6 @@ from sketchbound.direct import _falling, pmf_direct
 from sketchbound.model import support
 from sketchbound.solver import _anchor_index, choose_precision
 from sketchbound.stirling import log_pmf
-
-slow = pytest.mark.skipif(
-    not os.environ.get("SKETCHBOUND_SLOW"),
-    reason="set SKETCHBOUND_SLOW=1 for full-scale runs",
-)
 
 CTX = PrecisionContext.for_digits(30)
 
@@ -139,6 +133,92 @@ def test_pmf_direct_tiny_anchor_within_one_ulp():
     assert abs(got - expect) <= expect / 10 ** (ctx.digits - 1)
 
 
+def anchor_chain(n, s, j, ms, ctx, full_anchors) -> list[tuple[int, Decimal, bool]]:
+    """(m, p(j), derived?) for each m in turn, all sharing one solve's memory."""
+    anchors = {}
+    out = []
+    for m in ms:
+        before = len(full_anchors)
+        p = pmf_direct(n, m, s, j, ctx, anchors=anchors)
+        out.append((m, p, len(full_anchors) == before))
+    return out
+
+
+def assert_within_one_ulp(n, m, s, j, got, ctx):
+    expect = pmf_exact(n, m, s, j, max_n=None)
+    assert abs(as_frac(got) - expect) <= expect / 10 ** (ctx.digits - 1), (n, m, s, j)
+
+
+def assert_agrees_with_fresh(n, m, s, j, got, ctx):
+    # both are within one ulp of the truth and rounded to ctx.digits, so they
+    # differ by at most one unit in the last place
+    fresh = pmf_direct(n, m, s, j, ctx)
+    ulp = Decimal(1).scaleb(max(got.adjusted(), fresh.adjusted()) - ctx.digits + 1)
+    assert abs(got - fresh) <= ulp, (n, m, s, j, got, fresh)
+
+
+def test_derived_anchors_step_both_ways_within_one_ulp(full_anchors):
+    n, s, j = 10**6, 40, 12
+    ms = [300_000, 300_007, 299_995, 299_990, 300_001]
+    chain = anchor_chain(n, s, j, ms, CTX, full_anchors)
+    assert [derived for _, _, derived in chain] == [False, True, True, True, True]
+    for m, p, _ in chain:
+        assert_within_one_ulp(n, m, s, j, p, CTX)
+        assert_agrees_with_fresh(n, m, s, j, p, CTX)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_derive_only_below_the_full_anchor_cost(full_anchors, sign):
+    # a full anchor multiplies s + 2 min(j, s - j) = 64 factors, a step 4|D|
+    n, s, j, m0 = 10**6, 40, 12, 300_000
+    for step, derived in [(15, True), (16, False)]:
+        m = m0 + sign * step
+        (_, _, first), (_, p, was_derived) = anchor_chain(n, s, j, [m0, m], CTX, full_anchors)
+        assert not first and was_derived == derived
+        assert_within_one_ulp(n, m, s, j, p, CTX)
+
+
+def test_derived_chain_stops_at_the_truncation_budget(full_anchors):
+    # a full anchor truncates 1 + 2 + 2 + 3 = 8 chunks and each unit step 4
+    # more; the chain may reach 8s - 1 = 319 chunks, so steps 1..77 derive,
+    # step 78 is computed in full and step 79 derives from it again
+    n, s, j, m0 = 10**6, 40, 12, 300_000
+    ms = [m0 + i for i in range(80)]
+    chain = anchor_chain(n, s, j, ms, CTX, full_anchors)
+    assert [i for i, (_, _, derived) in enumerate(chain) if not derived] == [0, 78]
+    for m, p, _ in chain:
+        assert_within_one_ulp(n, m, s, j, p, CTX)
+    for m, p, _ in chain[70:]:
+        assert_agrees_with_fresh(n, m, s, j, p, CTX)
+
+
+@pytest.mark.parametrize("n, s", [(10**7, 5000), (10**8, 10_000)])
+def test_derived_batch_shaped_anchors_within_one_ulp(full_anchors, n, s):
+    # the anchor indices of batch-file bounds; steps of both signs, the last
+    # one just below the break-even 4|D| < s + 2 min(j, s - j)
+    ctx = choose_precision(n, 9 * s // 10, Fraction(1, 20))
+    for j in (1, 26, s // 2, s - 1):
+        m0 = n * j // s + n // (3 * s)
+        reach = (s + 2 * min(j, s - j) - 1) // 4
+        ms = [m0, m0 + 2, m0 - 255, m0 + 2 + reach]
+        chain = anchor_chain(n, s, j, ms, ctx, full_anchors)
+        assert [derived for _, _, derived in chain] == [False, True, True, True], j
+        for m, p, _ in chain:
+            assert_within_one_ulp(n, m, s, j, p, ctx)
+            assert_agrees_with_fresh(n, m, s, j, p, ctx)
+
+
+@pytest.mark.slow
+def test_derived_flagship_anchor_agrees_with_fresh(full_anchors):
+    # the step the flagship upper bound's search takes into its last evaluations
+    n, s, j = 10**12, 10**7, 9 * 10**6
+    ctx = choose_precision(n, j, Fraction(1, 20))
+    m = 900_156_008_220
+    chain = anchor_chain(n, s, j, [m - 2697, m], ctx, full_anchors)
+    assert chain[1][2]
+    assert_agrees_with_fresh(n, m, s, j, chain[1][1], ctx)
+
+
 def test_left_tail_direct_within_target_against_mpmath(mp_left_tail):
     import mpmath
 
@@ -230,7 +310,7 @@ def test_precision_infeasible_signalled():
         left_tail(100, 50, 20, 8, TailEngine.DIRECT, bad)
 
 
-@slow
+@pytest.mark.slow
 def test_trillion_scale_pmf_finite_and_consistent():
     n, m, s, j = 10**12, 9 * 10**11, 10**7, 9 * 10**6
     ctx = PrecisionContext.for_digits(30)

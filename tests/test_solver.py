@@ -24,7 +24,7 @@ from sketchbound import (
     right_tail_exact,
     upper_bound,
 )
-from sketchbound import solver
+from sketchbound import direct, solver
 from sketchbound.solver import choose_precision, resolve_engine, start_high
 
 ENGINES = (TailEngine.DIRECT, TailEngine.STIRLING, TailEngine.EXACT)
@@ -35,8 +35,8 @@ def record_tail_calls(monkeypatch) -> list[tuple[int, object]]:
     calls = []
     real = solver.left_tail
 
-    def spy(n, m, s, k, engine, ctx):
-        t = real(n, m, s, k, engine, ctx)
+    def spy(n, m, s, k, engine, ctx, **kwargs):
+        t = real(n, m, s, k, engine, ctx, **kwargs)
         calls.append((m, t))
         return t
 
@@ -256,7 +256,7 @@ def test_result_tails_straddle_threshold():
 
 def test_certificate_straddles_the_exact_delta(monkeypatch):
     # 16 digits of 1/3 lie just below it: a tail that equals them fails the budget
-    def fake_tail(n, m, s, k, engine, ctx):
+    def fake_tail(n, m, s, k, engine, ctx, **kwargs):
         return Decimal("0.3333333333333333") if m <= 50 else Decimal("0.1")
 
     monkeypatch.setattr(solver, "left_tail", fake_tail)
@@ -365,6 +365,36 @@ def test_flagship_upper_bound_takes_few_evaluations():
     assert r.m_hat == 900_156_008_220
     # bisection from the same seeds took 31
     assert r.iterations <= 12
+
+
+def test_direct_anchor_memory_lives_for_one_solve(full_anchors):
+    # later anchors of a solve derive from earlier ones, but a repeated
+    # request derives nothing from the first: it computes as many in full
+    inst = QueryInstance(10**7, 5000, 4500, Fraction(1, 20))
+    first = upper_bound(inst, TailEngine.DIRECT)
+    in_first = len(full_anchors)
+    assert upper_bound(inst, TailEngine.DIRECT) == first
+    assert len(full_anchors) - in_first == in_first < first.iterations
+    state = [name for name, value in vars(direct).items()
+             if not name.startswith("__") and isinstance(value, (dict, list, set))]
+    assert state == []
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_solver_calls_left_tail_with_six_positional_arguments(monkeypatch, engine):
+    # the benchmark's tracing reads ctx from the sixth positional argument
+    calls = []
+    real = solver.left_tail
+
+    def spy(*args, **kwargs):
+        calls.append((len(args), tuple(kwargs)))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "left_tail", spy)
+    inst = QueryInstance(2000, 50, 12, Fraction(1, 20))
+    upper_bound(inst, engine)
+    lower_bound(inst, engine)
+    assert calls and set(calls) == {(6, ("anchors",))}
 
 
 def test_computed_tails_monotone_near_bound():
