@@ -10,7 +10,6 @@ documented API; everything else is reached through its module.
 """
 
 from .coverage import CoverageReport, coverage_run
-from .exact import left_tail_exact, pmf_exact, right_tail_exact
 from .model import (
     BoundResult,
     DomainError,
@@ -35,10 +34,7 @@ __all__ = [
     "TailEngine",
     "coverage_run",
     "left_tail",
-    "left_tail_exact",
     "lower_bound",
-    "pmf_exact",
     "right_tail",
-    "right_tail_exact",
     "upper_bound",
 ]

@@ -5,9 +5,9 @@ success count, computes both bounds for each draw, and reports how often
 they fail.  A trial's draw is the u-quantile of hypergeometric(n, m, s), u
 the top 53 bits of a blake2b hash of (seed, trial index), so results do not
 depend on scheduling.  Quantiles are bisected in a CDF table per (n, m, s),
-stepped out from the mode by the exact two-term ratio.  The pmf is
-log-concave, so each side stops at the first term t, next ratio r, where
-t*r/(1-r), a bound on the mass it drops, is below 2^-60 of the running sum.
+stepped out from the mode with the solver's ratio walker.  The pmf is
+log-concave, so each side stops at the first term t, reached by ratio r,
+where t/(1-r), a bound on the mass it drops, is below 2^-60 of the mode term.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Union
 
-from .model import DomainError, QueryInstance, TailEngine, as_fraction, check_tail_domain, support
-from .solver import lower_bound, upper_bound
+from .model import (DomainError, QueryInstance, TailEngine, as_count, as_fraction,
+                    check_tail_domain, support)
+from .solver import lower_bound, run, upper_bound
 
 
 @dataclass(frozen=True)
@@ -39,30 +40,18 @@ def _trial_uniform(seed: int, index: int) -> float:
     return (int.from_bytes(digest, "big") >> 11) * 2.0 ** -53
 
 
-def _walk(n: int, m: int, s: int, start: int, stop: int, total: float) -> tuple[list, float]:
-    """Terms start+1..stop relative to term start, to the 2^-60 cut, and the new total."""
-    r = n - m - s + 1
-    t, terms = 1.0, []
-    for i in range(start, stop):
-        q = (m - i) * (s - i) / ((i + 1) * (r + i))
-        if t * q < 2.0 ** -60 * total * (1.0 - q):
-            break
-        t *= q
-        terms.append(t)
-        total += t
-    return terms, total
-
-
 @lru_cache(maxsize=16)
 def _cdf_table(n: int, m: int, s: int) -> tuple[int, tuple[float, ...]]:
-    """(first index, CDF) of hypergeometric(n, m, s); O(sd) floats, about 17k at the flagship."""
+    """(first index, CDF) of hypergeometric(n, m, s); O(sd) floats, about 18k at the flagship."""
     check_tail_domain(n, m, s)
     lo, hi = support(n, m, s)
     mode = (s + 1) * (m + 1) // (n + 2)
-    up, total = _walk(n, m, s, mode, hi, 1.0)
-    # a step down in K is a step up in s - K, hypergeometric(n, n - m, s)
-    down, total = _walk(n, n - m, s, s - mode, s - lo, total)
-    return mode - len(down), tuple(c / total for c in accumulate(down[::-1] + [1.0] + up))
+    # terms relative to the mode's, cut at 2^-60 of it; a step down in K is a
+    # step up in s - K, hypergeometric(n, n - m, s)
+    up = run(n, m, s, mode, hi, 1.0, 2.0 ** -60)
+    down = run(n, n - m, s, s - mode, s - lo, 1.0, 2.0 ** -60)
+    cdf = list(accumulate(down[::-1] + [1.0] + up))
+    return mode - len(down), tuple(c / cdf[-1] for c in cdf)
 
 
 def sample_successes(n: int, m: int, s: int, u: float) -> int:
@@ -84,6 +73,8 @@ def coverage_run(n: int, m: int, s: int, delta, trials: int, seed: int,
     from its draw, downward when m falls below the lower bound.  Bounds
     depend on the draw only through k, so they are cached per observed k.
     """
+    n, m, s = as_count("n", n), as_count("m", m), as_count("s", s)
+    trials = as_count("trials", trials)
     if trials < 1:
         raise DomainError(f"need at least one trial, got {trials}")
     d = as_fraction(delta)

@@ -1,18 +1,17 @@
-"""Exact-rational hypergeometric pmf and tails.
+"""Exact-rational hypergeometric left tails, the solver's exact engine.
 
-Everything here is computed with arbitrary-precision integers and reduced
-fractions.  The solver's exact engine evaluates its tails here, and they are
-the ground truth the floating tail engines are tested against.  A size
-guard keeps the oracle honest about what it is for: fast, trustworthy
-answers on instances small enough to verify.
+Computed with arbitrary-precision integers and reduced fractions, they are
+the ground truth the floating engines are tested against.  The solver
+reaches them with engine "exact", after checking the arguments and the size
+guard below; `left_tail_exact` itself checks neither.  Right tails are the
+solver's mirrored left tails, as for every engine.
 
 A tail numerator sums C(m, i) * C(n-m, s-i) over whichever side of k has
 fewer support points; the other side follows from Vandermonde's identity,
 the full sum being C(n, s).  Each run of terms takes one pair of `math.comb`
 calls for its first term and steps to the next with the exact two-term
 ratio in integers, so every tail is the same exact rational as the literal
-sum.  Right tails are left tails of the complementary count,
-P(K >= k) = P(s - K <= s - k) with s - K hypergeometric(n, n-m, s).
+sum.
 """
 
 from __future__ import annotations
@@ -21,29 +20,16 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .model import DomainError, OracleLimitError, check_tail_domain, support
+from .model import OracleLimitError, support
 
-DEFAULT_ORACLE_LIMIT = 10_000
-
-
-def check_limit(n: int, max_n: int | None = DEFAULT_ORACLE_LIMIT) -> None:
-    """Refuse a population above the oracle's size guard (max_n=None lifts it)."""
-    if max_n is not None and n > max_n:
-        raise OracleLimitError(
-            f"exact oracle refuses n={n} (limit {max_n}); "
-            f"raise max_n explicitly if you really want factorial-scale rationals"
-        )
+ORACLE_LIMIT = 10_000
 
 
-def pmf_exact(n: int, m: int, s: int, j: int,
-              max_n: int | None = DEFAULT_ORACLE_LIMIT) -> Fraction:
-    """P(K = j) for K hypergeometric(n, m, s), as an exact fraction."""
-    check_tail_domain(n, m, s)
-    check_limit(n, max_n)
-    lo, hi = support(n, m, s)
-    if not lo <= j <= hi:
-        return Fraction(0)
-    return Fraction(math.comb(m, j) * math.comb(n - m, s - j), math.comb(n, s))
+def check_limit(n: int) -> None:
+    """Refuse a population above the exact engine's size guard."""
+    if n > ORACLE_LIMIT:
+        raise OracleLimitError(f"exact oracle refuses n={n} (limit {ORACLE_LIMIT}); "
+                               "use the direct or stirling engine")
 
 
 # every tail of a solve shares C(n, s), as costly as a short tail near the guard
@@ -64,17 +50,12 @@ def _run_sum(n: int, m: int, s: int, a: int, b: int) -> int:
     return total
 
 
-def left_tail_exact(n: int, m: int, s: int, k: int,
-                    max_n: int | None = DEFAULT_ORACLE_LIMIT) -> Fraction:
-    """P(K <= k), exact.
+def left_tail_exact(n: int, m: int, s: int, k: int) -> Fraction:
+    """P(K <= k), exact, for 0 <= m <= n, 1 <= s <= n and k >= 0.
 
     Sums the side of k with fewer support points; the upper side is
     subtracted from the full sum C(n, s).
     """
-    check_tail_domain(n, m, s)
-    if k < 0:
-        raise DomainError(f"tail index must be >= 0, got k={k}")
-    check_limit(n, max_n)
     lo, hi = support(n, m, s)
     if k < lo:
         return Fraction(0)
@@ -84,15 +65,3 @@ def left_tail_exact(n: int, m: int, s: int, k: int,
     if k - lo < hi - k:
         return Fraction(_run_sum(n, m, s, lo, k), total)
     return Fraction(total - _run_sum(n, m, s, k + 1, hi), total)
-
-
-def right_tail_exact(n: int, m: int, s: int, k: int,
-                     max_n: int | None = DEFAULT_ORACLE_LIMIT) -> Fraction:
-    """P(K >= k), exact, as P(s - K <= s - k).  Empty sums (k > min(s, m)) are zero."""
-    check_tail_domain(n, m, s)
-    if k < 0:
-        raise DomainError(f"tail index must be >= 0, got k={k}")
-    check_limit(n, max_n)
-    if k > s:
-        return Fraction(0)
-    return left_tail_exact(n, n - m, s, s - k, max_n=None)

@@ -62,6 +62,17 @@ def as_fraction(value: Probability) -> Fraction:
     raise DomainError(f"not a valid probability: {value!r}")
 
 
+def as_count(name: str, value) -> int:
+    """An integral count as an int; 1e12 and "10" qualify, 10.7 and "abc" do not."""
+    try:
+        x = value if isinstance(value, int) else Fraction(value)
+        if x.denominator == 1:
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class QueryInstance:
     """One bound query: population n, sample s, observed successes k, failure budget delta."""
@@ -72,9 +83,9 @@ class QueryInstance:
     delta: Fraction
 
     def __init__(self, n: int, s: int, k: int, delta: Probability):
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "s", int(s))
-        object.__setattr__(self, "k", int(k))
+        object.__setattr__(self, "n", as_count("population size", n))
+        object.__setattr__(self, "s", as_count("sample size", s))
+        object.__setattr__(self, "k", as_count("successes", k))
         object.__setattr__(self, "delta", as_fraction(delta))
         if self.n < 1:
             raise DomainError(f"population size must be >= 1, got {self.n}")
@@ -135,8 +146,6 @@ class PrecisionContext:
     def for_digits(cls, digits: int) -> "PrecisionContext":
         """Context for a bare tail evaluation: 8 digits between the roundoff
         floor and the error target 10^(8 - digits)."""
-        if digits < 16:
-            raise DomainError(f"precision must be at least 16 digits, got {digits}")
         return cls(digits=digits, abs_error_target=Decimal(1).scaleb(8 - digits))
 
 

@@ -43,19 +43,16 @@ TailValue = Union[Decimal, Fraction]
 _ONE = Decimal(1)
 _ZERO = Decimal(0)
 
-# Above this population size the exact oracle stops being "fast ground
-# truth", so auto picks the O(k lg n) Stirling engine instead.
-AUTO_EXACT_LIMIT = exact.DEFAULT_ORACLE_LIMIT
-
 
 def resolve_engine(engine: Union[TailEngine, str], n: int) -> TailEngine:
     """Map an engine request ('auto' allowed) to a concrete engine for size n.
 
-    An explicit exact request passes the oracle's size guard here, before
-    any short cut of a solve could skip it.
+    Auto picks the exact oracle up to its size guard, Stirling above it.
+    Every route to the exact engine passes the guard here, before any
+    short cut of a solve could skip it.
     """
     if engine == "auto":
-        return TailEngine.EXACT if n <= AUTO_EXACT_LIMIT else TailEngine.STIRLING
+        return TailEngine.EXACT if n <= exact.ORACLE_LIMIT else TailEngine.STIRLING
     try:
         eng = TailEngine(engine)
     except ValueError:
@@ -74,15 +71,16 @@ def left_tail(n: int, m: int, s: int, k: int, engine: Union[TailEngine, str],
     module; the ratio walk sums the rest and drops at most a tenth of
     ctx.abs_error_target relative to the tail.  `anchors` is one solve's
     memory of direct anchors (see direct.pmf_direct); the other engines
-    ignore it.
+    ignore it.  The exact engine returns the oracle's Fraction.
     """
-    if not isinstance(engine, TailEngine):
+    # a floating member skips the resolver, which every evaluation would pay
+    if engine is TailEngine.EXACT or not isinstance(engine, TailEngine):
         engine = resolve_engine(engine, n)
-    if engine not in (TailEngine.DIRECT, TailEngine.STIRLING):
-        return exact.left_tail_exact(n, m, s, k)
     check_tail_domain(n, m, s)
     if k < 0:
         raise DomainError(f"tail index must be >= 0, got k={k}")
+    if engine is TailEngine.EXACT:
+        return exact.left_tail_exact(n, m, s, k)
     # A term at the walk's cut, target/20 of the anchor, must still move the sum.
     if Decimal(20).scaleb(-ctx.digits) > ctx.abs_error_target:
         raise PrecisionInfeasibleError(
@@ -118,21 +116,20 @@ def _walk_sum(n: int, m: int, s: int, k: int, j0: int, j_lo: int, anchor: Decima
     """
     with localcontext(ctx.context):
         cut = anchor * ctx.abs_error_target / 20
-        down = _run(n, n - m, s, s - j0, s - j_lo, anchor, cut)
-        up = _run(n, m, s, j0, k, anchor, cut)
-        total = _ZERO
-        for t in down[::-1] + [anchor] + up[::-1]:
-            total += t
-        return total
+        down = run(n, n - m, s, s - j0, s - j_lo, anchor, cut)
+        up = run(n, m, s, j0, k, anchor, cut)
+        return sum(down[::-1] + [anchor] + up[::-1], _ZERO)
 
 
-def _run(n: int, m: int, s: int, j: int, stop: int, t: Decimal, cut: Decimal) -> list[Decimal]:
+def run(n: int, m: int, s: int, j: int, stop: int, t, cut) -> list:
     """Terms p(j+1..stop) stepped up from t = p(j), until the mass left is below cut.
 
-    Steps move away from the mode, so by log-concavity the terms from the
-    current one on sum to at most t / (1 - a/b); the cheap t < cut test is first.
+    The terms take t's and cut's type: Decimal, in the caller's context, for
+    a tail, float for coverage's CDF tables.  Steps move away from the mode, so by
+    log-concavity the terms from the current one on sum to at most
+    t / (1 - a/b); the cheap t < cut test is first.
     """
-    terms: list[Decimal] = []
+    terms = []
     r = n - m - s + 1
     for i in range(j, stop):
         a = (m - i) * (s - i)
@@ -146,17 +143,14 @@ def _run(n: int, m: int, s: int, j: int, stop: int, t: Decimal, cut: Decimal) ->
 
 def right_tail(n: int, m: int, s: int, k: int, engine: Union[TailEngine, str],
                ctx: PrecisionContext) -> TailValue:
-    """P(K >= k) = P(s - K <= s - k), the left tail of the mirrored population (n, n - m, s)."""
-    if not isinstance(engine, TailEngine):
-        engine = resolve_engine(engine, n)
-    if engine is TailEngine.EXACT:
-        return exact.right_tail_exact(n, m, s, k)
-    check_tail_domain(n, m, s)
+    """P(K >= k) = P(s - K <= s - k), the left tail of the mirrored population
+    (n, n - m, s) under every engine; an empty sum, zero, for k > s."""
     if k < 0:
         raise DomainError(f"tail index must be >= 0, got k={k}")
-    if k > s:
-        return _ZERO
-    return left_tail(n, n - m, s, s - k, engine, ctx)
+    if k <= s:
+        return left_tail(n, n - m, s, s - k, engine, ctx)
+    check_tail_domain(n, m, s)
+    return Fraction(0) if resolve_engine(engine, n) is TailEngine.EXACT else _ZERO
 
 
 def pmf(n: int, m: int, s: int, j: int, engine: TailEngine,

@@ -1,5 +1,6 @@
-"""Reference bounds the solver's search is checked against.
+"""Reference values the engines and the solver's search are checked against.
 
+The exact pmf, and exact right tails through the solver's exact engine.
 The sharp bounds by their definitions, independent of the solver's search:
 the upper bound is the first m, down from n, whose exact left tail meets
 delta; the lower bound is the first m, up from 0, whose exact right tail
@@ -8,8 +9,30 @@ tails, from the structural bracket [0, n - (s - k) + 1]: any search that
 keeps a verified bracket must end at the same m and the same two tails.
 """
 
-from sketchbound import QueryInstance, TailEngine, left_tail_exact, right_tail_exact
+import math
+from fractions import Fraction
+
+from sketchbound import PrecisionContext, QueryInstance, TailEngine, right_tail
 from sketchbound import solver
+from sketchbound.exact import left_tail_exact
+from sketchbound.model import check_tail_domain, support
+
+# the exact engine ignores the precision contract
+_EXACT_CTX = PrecisionContext.for_digits(16)
+
+
+def pmf_exact(n: int, m: int, s: int, j: int) -> Fraction:
+    """P(K = j) for K hypergeometric(n, m, s), as an exact fraction, at any n."""
+    check_tail_domain(n, m, s)
+    lo, hi = support(n, m, s)
+    if not lo <= j <= hi:
+        return Fraction(0)
+    return Fraction(math.comb(m, j) * math.comb(n - m, s - j), math.comb(n, s))
+
+
+def right_exact(n: int, m: int, s: int, k: int) -> Fraction:
+    """P(K >= k), exact: the solver's mirrored left tail on the exact engine (n <= 10^4)."""
+    return right_tail(n, m, s, k, TailEngine.EXACT, _EXACT_CTX)
 
 
 def sharp_upper(inst: QueryInstance) -> int:
@@ -21,7 +44,7 @@ def sharp_upper(inst: QueryInstance) -> int:
 def sharp_lower(inst: QueryInstance) -> int:
     """Smallest m with P(K >= k) >= delta."""
     n, s, k, delta = inst.n, inst.s, inst.k, inst.delta
-    return next(m for m in range(n + 1) if right_tail_exact(n, m, s, k) >= delta)
+    return next(m for m in range(n + 1) if right_exact(n, m, s, k) >= delta)
 
 
 def bisect_upper(inst: QueryInstance, engine: TailEngine | str) -> tuple[int, object, object]:

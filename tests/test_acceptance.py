@@ -18,16 +18,16 @@ from pathlib import Path
 
 import pytest
 
+from oracle import pmf_exact
 from sketchbound import (
     QueryInstance,
     TailEngine,
     coverage_run,
-    left_tail_exact,
     lower_bound,
-    pmf_exact,
     upper_bound,
 )
 from sketchbound.cli import main as cli_main
+from sketchbound.exact import left_tail_exact
 from sketchbound.model import PrecisionContext, decimal_context
 from sketchbound import solver
 from sketchbound.solver import choose_precision

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from sketchbound import DomainError, coverage_run, pmf_exact
+from oracle import pmf_exact
+from sketchbound import DomainError, coverage_run
 from sketchbound.coverage import _cdf_table, _trial_uniform, sample_successes
 from sketchbound.model import support
 
@@ -47,7 +48,7 @@ def test_flagship_table_is_bounded_and_centred():
     n, m, s = 10**12, 9 * 10**11, 10**7
     first, cdf = _cdf_table(n, m, s)
     sd = math.sqrt(s * (m / n) * (1 - m / n) * (n - s) / (n - 1))
-    # the 2^-60 cut keeps about nine sd on each side of the mode
+    # a cut at 2^-60 of the mode term keeps about 9.6 sd on each side of it
     assert len(cdf) < 20 * sd
     assert first <= sample_successes(n, m, s, 0.0) < sample_successes(n, m, s, LAST_UNIFORM)
     # E[K] = first + sum over the table of P(K > j)
@@ -107,6 +108,14 @@ def test_single_trial_rates_are_binary():
 def test_zero_trials_rejected():
     with pytest.raises(DomainError):
         coverage_run(100, 40, 10, 0.2, trials=0, seed=5)
+
+
+def test_fractional_counts_rejected():
+    for n, m, s, trials in [(1000, 300.5, 50, 10), (1000.5, 300, 50, 10),
+                            (1000, 300, "fifty", 10), (1000, 300, 50, 2.5)]:
+        with pytest.raises(DomainError):
+            coverage_run(n, m, s, 0.05, trials, 0)
+    assert coverage_run(1e3, 300.0, "50", 0.05, 10, 0) == coverage_run(1000, 300, 50, 0.05, 10, 0)
 
 
 def test_failure_rates_within_budget():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracle import pmf_exact
 from sketchbound import (
     DomainError,
     PrecisionContext,
@@ -16,11 +17,10 @@ from sketchbound import (
     QueryInstance,
     TailEngine,
     left_tail,
-    left_tail_exact,
-    pmf_exact,
     upper_bound,
 )
 from sketchbound.direct import _falling, pmf_direct
+from sketchbound.exact import left_tail_exact
 from sketchbound.model import support
 from sketchbound.solver import _anchor_index, choose_precision
 from sketchbound.stirling import log_pmf
@@ -145,7 +145,7 @@ def anchor_chain(n, s, j, ms, ctx, full_anchors) -> list[tuple[int, Decimal, boo
 
 
 def assert_within_one_ulp(n, m, s, j, got, ctx):
-    expect = pmf_exact(n, m, s, j, max_n=None)
+    expect = pmf_exact(n, m, s, j)
     assert abs(as_frac(got) - expect) <= expect / 10 ** (ctx.digits - 1), (n, m, s, j)
 
 
@@ -255,7 +255,7 @@ def test_left_tail_examples():
 def test_left_tail_mid_instance_close_to_exact():
     ctx = PrecisionContext.for_digits(30)
     t = left_tail(1000, 700, 100, 60, TailEngine.DIRECT, ctx)
-    expect = left_tail_exact(1000, 700, 100, 60, max_n=None)
+    expect = left_tail_exact(1000, 700, 100, 60)
     assert abs(as_frac(t) - expect) < Fraction(1, 10**20)
 
 

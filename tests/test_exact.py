@@ -10,19 +10,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracle import sharp_lower, sharp_upper
+from oracle import pmf_exact, right_exact, sharp_lower, sharp_upper
 from sketchbound import exact
 from sketchbound import (
     DomainError,
     OracleLimitError,
+    PrecisionContext,
     QueryInstance,
     TailEngine,
-    left_tail_exact,
+    left_tail,
     lower_bound,
-    pmf_exact,
-    right_tail_exact,
     upper_bound,
 )
+from sketchbound.exact import left_tail_exact
 
 EXACT = TailEngine.EXACT
 
@@ -68,19 +68,19 @@ def test_left_tail_examples():
 
 
 def test_right_tail_examples():
-    assert right_tail_exact(10, 5, 4, 0) == 1
-    assert right_tail_exact(10, 0, 4, 0) == 1
-    assert right_tail_exact(10, 10, 10, 10) == 1
-    assert right_tail_exact(10, 5, 4, 2) == Fraction(155, 210)
-    assert right_tail_exact(10, 5, 4, 4) == Fraction(5, 210)
+    assert right_exact(10, 5, 4, 0) == 1
+    assert right_exact(10, 0, 4, 0) == 1
+    assert right_exact(10, 10, 10, 10) == 1
+    assert right_exact(10, 5, 4, 2) == Fraction(155, 210)
+    assert right_exact(10, 5, 4, 4) == Fraction(5, 210)
 
 
 def test_right_tail_empty_sum_is_zero():
     # m < k leaves no support at or above k
-    assert right_tail_exact(10, 2, 4, 3) == 0
+    assert right_exact(10, 2, 4, 3) == 0
     # nor does k > s, even with m >= k
-    assert right_tail_exact(10, 10, 4, 5) == 0
-    assert right_tail_exact(10, 5, 4, 9) == 0
+    assert right_exact(10, 10, 4, 5) == 0
+    assert right_exact(10, 5, 4, 9) == 0
 
 
 def test_pmf_sums_to_one():
@@ -113,7 +113,7 @@ def test_complement_identity():
         m = rng.randrange(0, n + 1)
         s = rng.randrange(1, n + 1)
         k = rng.randrange(1, s + 1)
-        assert right_tail_exact(n, m, s, k) == 1 - left_tail_exact(n, m, s, k - 1)
+        assert right_exact(n, m, s, k) == 1 - left_tail_exact(n, m, s, k - 1)
 
 
 def test_gap_identity_exact():
@@ -178,25 +178,25 @@ def test_bound_definitions_hold():
         if mu < n:
             assert left_tail_exact(n, mu + 1, s, k) < delta
         md = lower_bound(inst, EXACT).m_hat
-        assert right_tail_exact(n, md, s, k) >= delta
+        assert right_exact(n, md, s, k) >= delta
         if md > 0:
-            assert right_tail_exact(n, md - 1, s, k) < delta
+            assert right_exact(n, md - 1, s, k) < delta
 
 
 def test_knife_edge_delta_is_included():
     # delta exactly equal to a tail value: that m still qualifies
     d_tie = left_tail_exact(30, 14, 8, 3)
     assert upper_bound(QueryInstance(30, 8, 3, d_tie), EXACT).m_hat == 14
-    d_tie = right_tail_exact(30, 14, 8, 3)
+    d_tie = right_exact(30, 14, 8, 3)
     assert lower_bound(QueryInstance(30, 8, 3, d_tie), EXACT).m_hat == 14
 
 
 def test_oracle_size_guard():
+    # the guard sits on the exact engine's route, not on the oracle itself
     with pytest.raises(OracleLimitError):
-        left_tail_exact(20_001, 10, 5, 2)
-    # configurable: lifting the guard makes the same call work
-    assert left_tail_exact(20_001, 10, 5, 2, max_n=None) > 0
-    assert pmf_exact(12_000, 6000, 4, 2, max_n=20_000) > 0
+        left_tail(20_001, 10, 5, 2, EXACT, PrecisionContext.for_digits(16))
+    assert left_tail_exact(20_001, 10, 5, 2) > 0
+    assert pmf_exact(12_000, 6000, 4, 2) > 0
 
 
 # ---------------------------------------------------------------- kernel
@@ -214,8 +214,8 @@ def literal_right(n, m, s, k):
 
 def assert_kernel_matches(n, m, s, k):
     total = math.comb(n, s)
-    assert left_tail_exact(n, m, s, k, max_n=None) == Fraction(literal_left(n, m, s, k), total)
-    assert right_tail_exact(n, m, s, k, max_n=None) == Fraction(literal_right(n, m, s, k), total)
+    assert left_tail_exact(n, m, s, k) == Fraction(literal_left(n, m, s, k), total)
+    assert right_exact(n, m, s, k) == Fraction(literal_right(n, m, s, k), total)
 
 
 @st.composite

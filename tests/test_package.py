@@ -14,7 +14,6 @@ def test_exports_are_the_documented_api():
     assert sorted(sketchbound.__all__) == sorted([
         "QueryInstance", "BoundResult", "TailEngine", "PrecisionContext",
         "upper_bound", "lower_bound", "left_tail", "right_tail",
-        "pmf_exact", "left_tail_exact", "right_tail_exact",
         "coverage_run", "CoverageReport",
         "DomainError", "OracleLimitError", "PrecisionInfeasibleError",
     ])
@@ -78,7 +77,7 @@ def test_module_level_caches_are_bounded():
     """Every module-level cache has a maxsize.
 
     The largest entries are coverage's CDF tables: one holds O(sd) floats,
-    about 17k (some 0.5 MB) at n=1e12, m=9e11, s=1e7.
+    about 18k (some 0.6 MB) at n=1e12, m=9e11, s=1e7.
     """
     caches = [model.decimal_context, direct._falling_cached, stirling.log_factorial,
               stirling._ln2pi, coverage._cdf_table, exact._total]

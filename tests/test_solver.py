@@ -9,25 +9,37 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracle import bisect_lower, bisect_upper, sharp_lower, sharp_upper
+from oracle import bisect_lower, bisect_upper, pmf_exact, right_exact, sharp_lower, sharp_upper
 from sketchbound import (
     DomainError,
     OracleLimitError,
     PrecisionContext,
     QueryInstance,
     TailEngine,
+    coverage_run,
     left_tail,
-    left_tail_exact,
     lower_bound,
-    pmf_exact,
     right_tail,
-    right_tail_exact,
     upper_bound,
 )
-from sketchbound import direct, solver
+from sketchbound import cli, coverage, direct, exact, solver, stirling
+from sketchbound.exact import left_tail_exact
 from sketchbound.solver import choose_precision, resolve_engine, start_high
 
 ENGINES = (TailEngine.DIRECT, TailEngine.STIRLING, TailEngine.EXACT)
+
+
+def spy_on(monkeypatch, module, attr) -> list:
+    """Arguments of every call made through module.attr."""
+    calls = []
+    real = getattr(module, attr)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, spy)
+    return calls
 
 
 def record_tail_calls(monkeypatch) -> list[tuple[int, object]]:
@@ -66,14 +78,18 @@ def test_resolve_engine_policy():
 @pytest.mark.parametrize("name", ["direct", "stirling", "exact", "auto"])
 def test_public_tails_resolve_engine_names(name):
     ctx = PrecisionContext.for_digits(30)
-    for n in (100, 10**6):
+    for n in (100, 10_001, 10**6):
         if name == "exact" and n > 10_000:
-            with pytest.raises(OracleLimitError):
-                left_tail(n, 40, 10, 3, name, ctx)
-            with pytest.raises(OracleLimitError):
-                right_tail(n, 40, 10, 3, name, ctx)
+            # the guard holds on every route to the exact engine, name or member
+            for engine in (name, TailEngine.EXACT):
+                with pytest.raises(OracleLimitError):
+                    left_tail(n, 40, 10, 3, engine, ctx)
+                with pytest.raises(OracleLimitError):
+                    right_tail(n, 40, 10, 3, engine, ctx)
             continue
         engine = resolve_engine(name, n)
+        if name == "auto":
+            assert engine is (TailEngine.EXACT if n <= 10_000 else TailEngine.STIRLING)
         left = left_tail(n, 40, 10, 3, name, ctx)
         right = right_tail(n, 40, 10, 3, name, ctx)
         assert left == left_tail(n, 40, 10, 3, engine, ctx)
@@ -82,7 +98,7 @@ def test_public_tails_resolve_engine_names(name):
         assert isinstance(left, Fraction) == (engine is TailEngine.EXACT)
         if n <= 10_000:
             assert abs(Fraction(left) - left_tail_exact(n, 40, 10, 3)) < Fraction(1, 10**12)
-            assert abs(Fraction(right) - right_tail_exact(n, 40, 10, 3)) < Fraction(1, 10**12)
+            assert abs(Fraction(right) - right_exact(n, 40, 10, 3)) < Fraction(1, 10**12)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -268,8 +284,8 @@ def test_certificate_straddles_the_exact_delta(monkeypatch):
 def test_lower_bound_tails_are_right_tails():
     inst = QueryInstance(400, 50, 12, Fraction(1, 20))
     r = lower_bound(inst, TailEngine.EXACT)
-    assert r.tail_at_m_hat == right_tail_exact(400, r.m_hat, 50, 12)
-    assert r.tail_at_m_hat_plus_1 == right_tail_exact(400, r.m_hat - 1, 50, 12)
+    assert r.tail_at_m_hat == right_exact(400, r.m_hat, 50, 12)
+    assert r.tail_at_m_hat_plus_1 == right_exact(400, r.m_hat - 1, 50, 12)
 
 
 def test_duality_is_structural():
@@ -380,9 +396,18 @@ def test_direct_anchor_memory_lives_for_one_solve(full_anchors):
     assert state == []
 
 
+# the module attribute through which a tail reaches each engine's own layer
+ENGINE_LAYERS = {TailEngine.EXACT: (exact, "left_tail_exact"),
+                 TailEngine.DIRECT: (direct, "pmf_direct"),
+                 TailEngine.STIRLING: (stirling, "log_pmf")}
+
+
 @pytest.mark.parametrize("engine", ENGINES)
-def test_solver_calls_left_tail_with_six_positional_arguments(monkeypatch, engine):
-    # the benchmark's tracing reads ctx from the sixth positional argument
+def test_solver_calls_left_tail_with_six_positional_arguments(monkeypatch, tmp_path, engine):
+    # The benchmark's tracing wraps module attributes: solver.left_tail, whose
+    # sixth positional argument it reads ctx from, and each one spied on here.
+    # A layer reached other than through its attribute would read zero there.
+    layer = spy_on(monkeypatch, *ENGINE_LAYERS[engine])
     calls = []
     real = solver.left_tail
 
@@ -395,6 +420,21 @@ def test_solver_calls_left_tail_with_six_positional_arguments(monkeypatch, engin
     upper_bound(inst, engine)
     lower_bound(inst, engine)
     assert calls and set(calls) == {(6, ("anchors",))}
+    assert layer
+    layer.clear()
+    right_tail(2000, 600, 50, 12, engine, PrecisionContext.for_digits(30))
+    assert layer
+
+    sampled = [spy_on(monkeypatch, coverage, attr)
+               for attr in ("sample_successes", "upper_bound", "lower_bound")]
+    coverage_run(200, 70, 30, 0.05, 5, 0, engine=engine)
+    assert all(sampled)
+
+    batched = [spy_on(monkeypatch, cli, attr) for attr in ("upper_bound", "lower_bound")]
+    batch = tmp_path / "conditions.txt"
+    batch.write_text("200 30 0.05\nhits 7\n", encoding="utf-8")
+    assert cli.main(["batch", str(batch), "--engine", str(engine)]) == 0
+    assert all(batched)
 
 
 def test_computed_tails_monotone_near_bound():
@@ -408,15 +448,24 @@ def test_computed_tails_monotone_near_bound():
         assert tails[0] >= tails[1] >= tails[2]
 
 
-def test_exact_engine_rejects_oversized_population():
+def test_exact_engine_rejects_oversized_population(capsys):
     with pytest.raises(OracleLimitError):
         upper_bound(QueryInstance(10**6, 100, 10, 0.05), TailEngine.EXACT)
-    # the k = s and k = 0 short cuts evaluate no tail and are refused all the same
     for engine in (TailEngine.EXACT, "exact"):
+        # the k = s and k = 0 short cuts evaluate no tail and are refused all the same
         with pytest.raises(OracleLimitError):
             upper_bound(QueryInstance(10**6, 100, 100, 0.05), engine)
         with pytest.raises(OracleLimitError):
             lower_bound(QueryInstance(10**6, 100, 0, 0.05), engine)
+        with pytest.raises(OracleLimitError):
+            coverage_run(10_001, 300, 50, 0.05, 10, 0, engine=engine)
+    # the CLI refuses with advice a CLI user can follow
+    assert cli.main(["tail", "--n", "10001", "--m", "40", "--s", "10", "--k", "3",
+                     "--which", "left", "--engine", "exact"]) == 2
+    err = capsys.readouterr().err
+    assert "n=10001" in err and "max_n" not in err
+    # the oracle behind the engine is unguarded
+    assert left_tail_exact(20_001, 10, 5, 2) > 0
 
 
 def test_choose_precision_floor_and_scale():
@@ -480,3 +529,11 @@ def test_instance_validation():
         QueryInstance(5, 3, 2, 0)
     with pytest.raises(DomainError):
         QueryInstance(5, 3, 2, 1)
+    # a fractional or unparsable count is refused, not truncated
+    for args in [(10.7, 3, 1), (10, 3.9, 1), (10, 3, 1.5), ("abc", 3, 1), (10, None, 1)]:
+        with pytest.raises(DomainError):
+            QueryInstance(*args, 0.05)
+    # integral values of any type keep working
+    big = QueryInstance(10**12, 10**7, 9 * 10**6, 0.05)
+    assert QueryInstance(1e12, 1e7, "9000000", 0.05) == big
+    assert type(QueryInstance("10", 3.0, 1, 0.05).n) is int
