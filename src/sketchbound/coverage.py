@@ -5,9 +5,9 @@ success count, computes both bounds for each draw, and reports how often
 they fail.  A trial's draw is the u-quantile of hypergeometric(n, m, s), u
 the top 53 bits of a blake2b hash of (seed, trial index), so results do not
 depend on scheduling.  Quantiles are bisected in a CDF table per (n, m, s),
-stepped out from the mode with the solver's ratio walker.  The pmf is
-log-concave, so each side stops at the first term t, reached by ratio r,
-where t/(1-r), a bound on the mass it drops, is below 2^-60 of the mode term.
+summed from exact.run's integer terms and divided into floats once.  By
+log-concavity each side stops at the first term t, reached by ratio r, where
+t/(1-r), a bound on the mass it drops, is below 2^-60 of the mode term.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Union
 
+from .exact import run
 from .model import (DomainError, QueryInstance, TailEngine, as_count, as_fraction,
                     check_tail_domain, support)
-from .solver import lower_bound, run, upper_bound
+from .solver import lower_bound, upper_bound
 
 
 @dataclass(frozen=True)
@@ -46,11 +47,12 @@ def _cdf_table(n: int, m: int, s: int) -> tuple[int, tuple[float, ...]]:
     check_tail_domain(n, m, s)
     lo, hi = support(n, m, s)
     mode = (s + 1) * (m + 1) // (n + 2)
-    # terms relative to the mode's, cut at 2^-60 of it; a step down in K is a
-    # step up in s - K, hypergeometric(n, n - m, s)
-    up = run(n, m, s, mode, hi, 1.0, 2.0 ** -60)
-    down = run(n, n - m, s, s - mode, s - lo, 1.0, 2.0 ** -60)
-    cdf = list(accumulate(down[::-1] + [1.0] + up))
+    # the mode's term is one, cut at 2^-60 of it, with 2 bitlen(s) guard bits for the
+    # floors; a step down in K is a step up in s - K, hypergeometric(n, n - m, s)
+    one = 1 << (64 + 2 * s.bit_length())
+    up = run(n, m, s, mode, hi, one, one >> 60)
+    down = run(n, n - m, s, s - mode, s - lo, one, one >> 60)
+    cdf = list(accumulate(down[::-1] + [one] + up))
     return mode - len(down), tuple(c / cdf[-1] for c in cdf)
 
 

@@ -8,10 +8,9 @@ solver's mirrored left tails, as for every engine.
 
 A tail numerator sums C(m, i) * C(n-m, s-i) over whichever side of k has
 fewer support points; the other side follows from Vandermonde's identity,
-the full sum being C(n, s).  Each run of terms takes one pair of `math.comb`
-calls for its first term and steps to the next with the exact two-term
-ratio in integers, so every tail is the same exact rational as the literal
-sum.
+the full sum being C(n, s).  A run of terms takes one pair of `math.comb`
+calls for its first term and `run`, the package's one term walker, for the
+rest, exactly: every tail is the same rational as the literal sum.
 """
 
 from __future__ import annotations
@@ -38,16 +37,29 @@ def _total(n: int, s: int) -> int:
     return math.comb(n, s)
 
 
+def run(n: int, m: int, s: int, j: int, stop: int, t: int, cut: int) -> list[int]:
+    """Terms j+1..stop stepped up from the integer term t at j, until the mass left is below cut.
+
+    The step t * a // b, a/b = p(i+1)/p(i), is exact on C(m, i) C(n-m, s-i) and rounds
+    scaled terms down.  Steps leave the mode, so by log-concavity the terms from t on
+    sum to at most t / (1 - a/b), compared with cut exactly; a cut of 0 never stops.
+    """
+    terms = []
+    r = n - m - s + 1
+    for i in range(j, stop):
+        a = (m - i) * (s - i)
+        b = (i + 1) * (r + i)
+        t = t * a // b
+        if t < cut and t * b < cut * (b - a):
+            break
+        terms.append(t)
+    return terms
+
+
 def _run_sum(n: int, m: int, s: int, a: int, b: int) -> int:
     """Sum of C(m,i) * C(n-m, s-i) for i = a..b, every i inside the support."""
     t = math.comb(m, a) * math.comb(n - m, s - a)
-    total = t
-    r = n - m - s + 1
-    for i in range(a, b):
-        # exact: t and the next term are both integers
-        t = t * (m - i) * (s - i) // ((i + 1) * (r + i))
-        total += t
-    return total
+    return t + sum(run(n, m, s, a, b, t, 0))
 
 
 def left_tail_exact(n: int, m: int, s: int, k: int) -> Fraction:

@@ -123,7 +123,7 @@ def decimal_context(digits: int) -> decimal.Context:
 class PrecisionContext:
     """Arithmetic contract for a tail evaluation.
 
-    digits            decimal significant digits for every operation
+    digits            decimal significant digits of every Decimal operation
     abs_error_target  error allowed in one tail value, absolute and relative
                       to the tail; a tail walk drops terms summing to at
                       most a tenth of it relative to the tail

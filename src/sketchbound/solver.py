@@ -10,16 +10,16 @@ sample proportion for low, a Hoeffding bound for high) are hints only;
 they enter the bracket solely after their tails check out.  Lower bounds
 come from the upper bound of the complemented condition, and every bound
 takes its digit count from the precision chooser, which keeps tail errors
-inside the tail gaps.  A floating tail sums outward from one anchor term and
-stops each side on a bound of the mass it drops, relative to the anchor, so
-its error is relative to the tail; right tails are mirrored left tails.
+inside the tail gaps.  A floating tail sums outward from one anchor term, in
+integers, and stops each side on a bound of the mass it drops, relative to
+the anchor, so its error is relative to the tail; right tails are mirrored.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
@@ -91,8 +91,7 @@ def left_tail(n: int, m: int, s: int, k: int, engine: Union[TailEngine, str],
     if k < j_lo:
         return _ZERO
     if k >= j_hi:
-        # the sum covers the entire support
-        return _ONE
+        return _ONE  # the sum covers the entire support
     j0 = _anchor_index(n, m, s, k, j_lo)
     anchor = pmf(n, m, s, j0, engine, ctx, anchors=anchors)
     return _walk_sum(n, m, s, k, j0, j_lo, anchor, ctx)
@@ -110,35 +109,22 @@ def _walk_sum(n: int, m: int, s: int, k: int, j0: int, j_lo: int, anchor: Decima
     """Sum of the tail terms p(j_lo..k) given the anchor term p(j0).
 
     Walks up to k, and down to j_lo as the upward run of s - K in the
-    mirrored population (n, n - m, s); each run drops at most anchor *
-    target / 20, so at most target / 10 relative to the tail.  The terms are
-    added smallest-first.
+    mirrored population (n, n - m, s), by exact.run from the anchor scaled to
+    2^B, B = ceil(digits log2 10) + 2 bitlen(s) + 8.  Each run drops at most
+    target / 20 of the anchor, each floor under 2^-B of it, and steps have
+    ratio at most 1, so the N <= s terms are off by under N(N+1)/2 units of
+    2^-B, below 2^-8 * 10^-digits of the tail.  One rounding scales the exact
+    sum by the anchor's mantissa (an integer 10^e would cost time quadratic in
+    |e|), so a tail with no walked term is the anchor.
     """
-    with localcontext(ctx.context):
-        cut = anchor * ctx.abs_error_target / 20
-        down = run(n, n - m, s, s - j0, s - j_lo, anchor, cut)
-        up = run(n, m, s, j0, k, anchor, cut)
-        return sum(down[::-1] + [anchor] + up[::-1], _ZERO)
-
-
-def run(n: int, m: int, s: int, j: int, stop: int, t, cut) -> list:
-    """Terms p(j+1..stop) stepped up from t = p(j), until the mass left is below cut.
-
-    The terms take t's and cut's type: Decimal, in the caller's context, for
-    a tail, float for coverage's CDF tables.  Steps move away from the mode, so by
-    log-concavity the terms from the current one on sum to at most
-    t / (1 - a/b); the cheap t < cut test is first.
-    """
-    terms = []
-    r = n - m - s + 1
-    for i in range(j, stop):
-        a = (m - i) * (s - i)
-        b = (i + 1) * (r + i)
-        t = t * a / b
-        if t < cut and t * b < cut * (b - a):
-            break
-        terms.append(t)
-    return terms
+    one = 1 << ((10 ** ctx.digits).bit_length() + 2 * s.bit_length() + 8)
+    p, q = ctx.abs_error_target.as_integer_ratio()
+    cut = one * p // (20 * q)
+    total = (one + sum(exact.run(n, n - m, s, s - j0, s - j_lo, one, cut))
+             + sum(exact.run(n, m, s, j0, k, one, cut)))
+    e = anchor.adjusted()
+    p, q = anchor.scaleb(-e, ctx.context).as_integer_ratio()
+    return ctx.context.divide(p * total, q * one).scaleb(e, ctx.context)
 
 
 def right_tail(n: int, m: int, s: int, k: int, engine: Union[TailEngine, str],

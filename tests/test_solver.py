@@ -6,7 +6,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from oracle import bisect_lower, bisect_upper, pmf_exact, right_exact, sharp_lower, sharp_upper
@@ -24,6 +24,7 @@ from sketchbound import (
 )
 from sketchbound import cli, coverage, direct, exact, solver, stirling
 from sketchbound.exact import left_tail_exact
+from sketchbound.model import support
 from sketchbound.solver import choose_precision, resolve_engine, start_high
 
 ENGINES = (TailEngine.DIRECT, TailEngine.STIRLING, TailEngine.EXACT)
@@ -130,6 +131,15 @@ def test_right_tail_is_the_mirrored_left_tail(engine):
 @given(log_n=st.floats(4, 9), s=st.integers(20, 2000), k_frac=st.floats(0, 1),
        shift=st.floats(-20, 20), engine=st.sampled_from(["direct", "stirling"]),
        which=st.sampled_from(["left", "right"]))
+# long walks at s = 10^5..10^6, where the 2 bitlen(s) guard bits of the walk are tightest
+@example(log_n=9.0, s=10**6, k_frac=0.5, shift=0.0, engine="stirling", which="left")
+@example(log_n=9.0, s=10**6, k_frac=0.9, shift=3.0, engine="direct", which="right")
+@example(log_n=8.0, s=10**5, k_frac=0.1, shift=-4.0, engine="stirling", which="right")
+@example(log_n=8.5, s=300_000, k_frac=0.5, shift=10.0, engine="direct", which="left")
+# tails near 1e-9963302 and 1e-99916: the walk scales by the anchor's mantissa,
+# as 10^e in integers would take minutes
+@example(log_n=12.0, s=10**7, k_frac=1e-5, shift=137.3, engine="stirling", which="left")
+@example(log_n=9.0, s=10**5, k_frac=1e-4, shift=36.8, engine="direct", which="left")
 def test_floating_tails_within_target_against_mpmath(log_n, s, k_frac, shift, engine, which,
                                                      mp_left_tail):
     """Both error measures, absolute and relative to the tail, within the target."""
@@ -154,6 +164,75 @@ def test_floating_tails_within_target_against_mpmath(log_n, s, k_frac, shift, en
         err = abs(mpmath.mpf(str(got)) - ref)
         assert err <= target, (got, ref)
         assert err <= target * ref, (got, ref)
+
+
+def walk_error(n: int, m: int, s: int, k: int, ctx: PrecisionContext) -> tuple:
+    """(error, allowed) of the walk from the exact anchor term rounded into ctx.
+
+    The error is measured against the exact tail scaled by the anchor's
+    rounding; allowed is the floor bound of _walk_sum's docstring, 2^-8 *
+    10^-digits of the tail, plus the truncation rule's target / 10 of the
+    anchor and half a unit in the last place of the one final rounding.
+    """
+    j_lo = support(n, m, s)[0]
+    j0 = solver._anchor_index(n, m, s, k, j_lo)
+    p0 = pmf_exact(n, m, s, j0)
+    anchor = ctx.context.divide(p0.numerator, p0.denominator)
+    got = solver._walk_sum(n, m, s, k, j0, j_lo, anchor, ctx)
+    ref = left_tail_exact(n, m, s, k) * Fraction(anchor) / p0
+    allowed = (ref / (2**8 * 10**ctx.digits)
+               + Fraction(anchor) * Fraction(ctx.abs_error_target) / 10
+               + Fraction(10) ** (got.adjusted() - ctx.digits + 1) / 2)
+    return abs(Fraction(got) - ref), allowed
+
+
+def assert_walk_within_bound(n: int, m: int, s: int, k: int) -> None:
+    """At the sweep's precision, and with a target so small that nothing is
+    dropped, which leaves the floor bound and the final rounding."""
+    ctx = choose_precision(n, k, Fraction(1, 20))
+    for c in (ctx, PrecisionContext(ctx.digits, Decimal(1).scaleb(-10 * ctx.digits))):
+        err, allowed = walk_error(n, m, s, k, c)
+        assert err <= allowed, (n, m, s, k, c.digits, float(err / allowed))
+
+
+def test_walk_from_exact_anchor_on_small_grid():
+    # every tail the walk sums at n <= 15, and a fixed sample of the rest of
+    # the criterion-2 grid (all 557,845 points at n <= 60 pass, too slowly for here)
+    rng = random.Random(61)
+    points = [(n, m, s, k) for n in range(1, 16) for s in range(1, n + 1)
+              for m in range(n + 1) for k in range(*support(n, m, s))]
+    while len(points) < 12_000:
+        n = rng.randrange(16, 61)
+        m, s = rng.randrange(n + 1), rng.randrange(1, n + 1)
+        lo, hi = support(n, m, s)
+        if lo < hi:
+            points.append((n, m, s, rng.randrange(lo, hi)))
+    for point in points:
+        assert_walk_within_bound(*point)
+
+
+@pytest.mark.parametrize("n, m, s, ks", [
+    (2_500, 500, 150, (12, 30, 45, 149)),
+    (4_000, 200, 250, (3, 12, 20)),
+    (9_000, 36, 600, (0, 2, 10)),
+    (9_200, 8_900, 600, (560, 590)),
+    (10_000, 3_000, 2_000, (450, 600, 640, 1_999)),
+    (10_000, 9_990, 2_000, (1_990, 1_995, 1_999)),
+])
+def test_walk_from_exact_anchor_on_coverage_shapes(n, m, s, ks):
+    for k in ks:
+        assert_walk_within_bound(n, m, s, k)
+    # each floored term of a run from the mode, i steps out, is under i units
+    # of the scaled exact term below it: the floor bound, term by term
+    mode = (s + 1) * (m + 1) // (n + 2)
+    lo, hi = support(n, m, s)
+    one = 1 << 100
+    for mm, j, stop in ((m, mode, hi), (n - m, s - mode, s - lo)):
+        exact_t = math.comb(mm, j) * math.comb(n - mm, s - j)
+        floored = exact.run(n, mm, s, j, stop, one, 0)
+        for i, t in enumerate(floored[:400], start=1):
+            scaled = one * math.comb(mm, j + i) * math.comb(n - mm, s - j - i)
+            assert 0 <= scaled - t * exact_t < i * exact_t, (mm, j, i)
 
 
 def test_start_low_uses_sample_proportion_when_it_qualifies(monkeypatch):
