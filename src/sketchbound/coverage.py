@@ -1,23 +1,28 @@
 """Empirical check of the bound-failure guarantee.
 
 Draws without-replacement samples from a synthetic population with a known
-success count, computes both bounds for each draw, and reports how often
-they fail.  A trial's draw is the u-quantile of hypergeometric(n, m, s), u
-the top 53 bits of a blake2b hash of (seed, trial index), so results do not
-depend on scheduling.  Quantiles are bisected in a CDF table per (n, m, s),
-summed from exact.run's integer terms and divided into floats once.  By
+success count and reports how often each one-sided bound fails.  A trial's
+draw is the u-quantile of hypergeometric(n, m, s), u the top 53 bits of a
+blake2b hash of (seed, trial index), so results do not depend on
+scheduling.  Quantiles are bisected in a CDF table per (n, m, s), summed
+from exact.run's integer terms and divided into floats once.  By
 log-concavity each side stops at the first term t, reached by ratio r, where
 t/(1-r), a bound on the mass it drops, is below 2^-60 of the mode term.
+
+Bounds depend on a draw only through k, and a larger k has a larger left tail
+at every m, so U(k) and L(k) = n - U(s - k) are nondecreasing in k: each side's
+failures lie on one side of a threshold in k, bisected over the observed k.
 """
 
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Union
+from typing import Iterator, Union
 
 from .exact import run
 from .model import (DomainError, QueryInstance, TailEngine, as_count, as_fraction,
@@ -25,7 +30,7 @@ from .model import (DomainError, QueryInstance, TailEngine, as_count, as_fractio
 from .solver import lower_bound, upper_bound
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoverageReport:
     trials: int
     upper_failures: int
@@ -35,10 +40,13 @@ class CoverageReport:
     seed: int
 
 
-def _trial_uniform(seed: int, index: int) -> float:
-    # hash-derived substream: stable across platforms and schedules
-    digest = hashlib.blake2b(f"{seed}:{index}".encode(), digest_size=8).digest()
-    return (int.from_bytes(digest, "big") >> 11) * 2.0 ** -53
+def _trial_uniforms(seed: int, trials: int) -> Iterator[float]:
+    # trial i's digest is blake2b(f"{seed}:{i}"), continued from a copy of the seed's state
+    prefix = hashlib.blake2b(f"{seed}:".encode(), digest_size=8)
+    for index in range(trials):
+        h = prefix.copy()
+        h.update(b"%d" % index)
+        yield (int.from_bytes(h.digest(), "big") >> 11) * 2.0 ** -53
 
 
 @lru_cache(maxsize=16)
@@ -72,32 +80,23 @@ def coverage_run(n: int, m: int, s: int, delta, trials: int, seed: int,
     """Failure rates of both one-sided bounds over repeated sampling.
 
     A trial fails upward when the true m exceeds the upper bound computed
-    from its draw, downward when m falls below the lower bound.  Bounds
-    depend on the draw only through k, so they are cached per observed k.
+    from its draw, downward when m falls below the lower bound.  Both bounds
+    are nondecreasing in k, so each side solves only at a bisection's k.
     """
     n, m, s = as_count("n", n), as_count("m", m), as_count("s", s)
     trials = as_count("trials", trials)
     if trials < 1:
         raise DomainError(f"need at least one trial, got {trials}")
     d = as_fraction(delta)
-    bounds_for_k: dict[int, tuple[int, int]] = {}
-    upper_failures = 0
-    lower_failures = 0
-    for index in range(trials):
-        k = sample_successes(n, m, s, _trial_uniform(seed, index))
-        cached = bounds_for_k.get(k)
-        if cached is None:
-            instance = QueryInstance(n, s, k, d)
-            cached = (
-                upper_bound(instance, engine, digits).m_hat,
-                lower_bound(instance, engine, digits).m_hat,
-            )
-            bounds_for_k[k] = cached
-        m_up, m_down = cached
-        if m > m_up:
-            upper_failures += 1
-        if m < m_down:
-            lower_failures += 1
+    draws = Counter(sample_successes(n, m, s, u) for u in _trial_uniforms(seed, trials))
+    observed = sorted(draws)
+    # first observed k whose upper bound reaches m, first whose lower bound exceeds it
+    up = bisect_left(observed, True, key=lambda k: (
+        upper_bound(QueryInstance(n, s, k, d), engine, digits).m_hat >= m))
+    down = bisect_left(observed, True, key=lambda k: (
+        lower_bound(QueryInstance(n, s, k, d), engine, digits).m_hat > m))
+    upper_failures = sum(draws[k] for k in observed[:up])
+    lower_failures = sum(draws[k] for k in observed[down:])
     return CoverageReport(
         trials=trials,
         upper_failures=upper_failures,

@@ -97,6 +97,9 @@ def test_criterion_2_oracle_sweep():
     for n in range(1, 61):
         for s in range(1, n + 1):
             table, denom = _tail_table(n, s)
+            # the last upper bound per (delta, engine): U(k) must not fall as k
+            # grows, which coverage_run's bisection over k relies on
+            last: dict = {}
             for k in range(0, s + 1):
                 for delta in deltas:
                     # exhaustive scan over the precomputed exact tails
@@ -114,6 +117,8 @@ def test_criterion_2_oracle_sweep():
                     for engine in engines:
                         got = upper_bound(inst, engine).m_hat
                         digest.update(f"{n} {s} {k} {delta} {engine.value} {got}\n".encode())
+                        assert got >= last.get((delta, engine), 0), (n, s, k, delta, engine)
+                        last[delta, engine] = got
                         # off by one only below the sharp m, at an exact tie
                         assert got == mu or (got == mu - 1 and tie), (
                             n, s, k, delta, engine, got, mu)

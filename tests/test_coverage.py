@@ -1,18 +1,25 @@
 """Coverage simulator: sampling exactness, reproducibility, failure rates."""
 
+import hashlib
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from oracle import pmf_exact
-from sketchbound import DomainError, coverage_run
-from sketchbound.coverage import _cdf_table, _trial_uniform, sample_successes
-from sketchbound.model import support
+from sketchbound import DomainError, coverage, coverage_run, lower_bound, upper_bound
+from sketchbound.coverage import _cdf_table, _trial_uniforms, sample_successes
+from sketchbound.model import QueryInstance, support
 
 # chi-square 0.999 quantiles by degrees of freedom, from standard tables
 CHI2_999 = {4: 18.467, 5: 20.515, 6: 22.458, 7: 24.322, 8: 26.125, 9: 27.877, 10: 29.588}
 LAST_UNIFORM = 1 - 2.0 ** -53
+
+
+def uniform(seed, index):
+    digest = hashlib.blake2b(f"{seed}:{index}".encode(), digest_size=8).digest()
+    return (int.from_bytes(digest, "big") >> 11) * 2.0 ** -53
 
 
 def test_sample_degenerate_populations():
@@ -58,7 +65,7 @@ def test_flagship_table_is_bounded_and_centred():
 
 def test_sample_mean_matches_hypergeometric():
     n, m, s, trials = 100, 30, 20, 100_000
-    total = sum(sample_successes(n, m, s, _trial_uniform(99, t)) for t in range(trials))
+    total = sum(sample_successes(n, m, s, u) for u in _trial_uniforms(99, trials))
     mean = total / trials
     # Var(K) = s m/n (1-m/n) (n-s)/(n-1); three sigma of the trial mean
     var = s * (m / n) * (1 - m / n) * (n - s) / (n - 1)
@@ -69,8 +76,8 @@ def test_sample_mean_matches_hypergeometric():
 def test_sample_distribution_chi_square():
     n, m, s, trials = 40, 15, 10, 100_000
     counts = [0] * (s + 1)
-    for t in range(trials):
-        counts[sample_successes(n, m, s, _trial_uniform(7, t))] += 1
+    for u in _trial_uniforms(7, trials):
+        counts[sample_successes(n, m, s, u)] += 1
     expected = [float(pmf_exact(n, m, s, j)) * trials for j in range(s + 1)]
     # merge sparse cells into their inner neighbor so every expected count >= 5
     bins: list[tuple[float, float]] = []
@@ -88,6 +95,47 @@ def test_sample_distribution_chi_square():
     dof = len(bins) - 1
     assert dof in CHI2_999, f"unexpected binning, dof={dof}"
     assert stat < CHI2_999[dof], f"chi2={stat:.2f} at dof={dof}"
+
+
+def test_trial_stream_hashes_seed_and_index():
+    # 1001 trials cross the digit-count edges 9/10, 99/100 and 999/1000 of the index
+    for seed in (0, -17, 2**64 + 1):
+        assert list(_trial_uniforms(seed, 1001)) == [uniform(seed, i) for i in range(1001)]
+
+
+def reference_coverage(n, m, s, delta, trials, seed, engine):
+    """Failure counts with both bounds solved at every observed k."""
+    draws = Counter(sample_successes(n, m, s, uniform(seed, i)) for i in range(trials))
+    up = down = 0
+    for k, count in draws.items():
+        inst = QueryInstance(n, s, k, delta)
+        up += count * (m > upper_bound(inst, engine).m_hat)
+        down += count * (m < lower_bound(inst, engine).m_hat)
+    return up, down, len(draws)
+
+
+def test_bisection_matches_every_k_and_bounds_its_solves(monkeypatch):
+    calls = []
+    for name in ("upper_bound", "lower_bound"):
+        real = getattr(coverage, name)
+        monkeypatch.setattr(coverage, name,
+                            lambda *args, real=real: calls.append(args) or real(*args))
+    grid = [(1, 0, 1), (1, 1, 1), (40, 0, 12), (40, 40, 12), (40, 17, 40), (90, 31, 25),
+            (300, 90, 40), (300, 150, 120), (1200, 400, 300)]
+    widest = 0
+    for n, m, s in grid:
+        for delta in (Fraction(1, 10**6), Fraction(1, 20), Fraction(1, 2), Fraction(999, 1000)):
+            for engine in ("exact", "direct", "stirling"):
+                for trials in (1, 400):
+                    seed = n + m + s + trials
+                    calls.clear()
+                    got = coverage_run(n, m, s, delta, trials, seed, engine=engine)
+                    up, down, distinct = reference_coverage(n, m, s, delta, trials, seed, engine)
+                    key = (n, m, s, delta, engine, trials)
+                    assert (got.upper_failures, got.lower_failures) == (up, down), key
+                    assert len(calls) <= 2 * math.ceil(math.log2(distinct + 1)), key
+                    widest = max(widest, distinct)
+    assert widest >= 30
 
 
 def test_reports_are_reproducible():
@@ -142,3 +190,4 @@ def test_report_counts_consistent():
     assert r.empirical_upper_rate == r.upper_failures / r.trials
     assert r.empirical_lower_rate == r.lower_failures / r.trials
     assert r.seed == 11
+    assert not hasattr(r, "__dict__")
