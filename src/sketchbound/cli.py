@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end: it parses the arguments, and the library checks them.
 
 Subcommands: bound (one query), tail (one tail value), batch (many
 conditions against one sample, with the failure budget split across them),
@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -33,8 +32,6 @@ from .solver import left_tail, lower_bound, resolve_engine, right_tail, upper_bo
 MAX_COUNT = 10**18
 _JSON_INT_MAX = 2**53
 
-ENV_DIGITS = "SKETCHBOUND_DIGITS"
-
 
 def _count(text: str) -> int:
     try:
@@ -44,37 +41,6 @@ def _count(text: str) -> int:
     if not 0 <= value <= MAX_COUNT:
         raise argparse.ArgumentTypeError(f"count out of range [0, 10^18]: {text}")
     return value
-
-
-def _positive_count(text: str) -> int:
-    value = _count(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1: {text}")
-    return value
-
-
-def _delta(text: str) -> Fraction:
-    try:
-        value = as_fraction(text)
-    except DomainError:
-        raise argparse.ArgumentTypeError(f"not a probability: {text!r}") from None
-    if not 0 < value < 1:
-        raise argparse.ArgumentTypeError(f"delta must lie strictly in (0, 1): {text}")
-    return value
-
-
-def _env_digits() -> int | None:
-    raw = os.environ.get(ENV_DIGITS)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise DomainError(f"{ENV_DIGITS} must be an integer, got {raw!r}") from None
-
-
-def _digits_or_env(args) -> int | None:
-    return args.digits if args.digits is not None else _env_digits()
 
 
 def _json_int(value: int):
@@ -120,19 +86,16 @@ def _print_bound_text(result: BoundResult) -> None:
 
 
 def _cmd_bound(args) -> int:
-    delta = args.delta
+    instance = QueryInstance(args.n, args.s, args.k, args.delta)
     if args.sides == "both" and not args.no_bonferroni:
         # union bound: the two one-sided statements share delta
-        delta = delta / 2
-    instance = QueryInstance(args.n, args.s, args.k, delta)
-    engine = resolve_engine(args.engine, args.n)
-    digits = _digits_or_env(args)
+        instance = replace(instance, delta=instance.delta / 2)
 
     results = []
     if args.sides in ("upper", "both"):
-        results.append(upper_bound(instance, engine, digits))
+        results.append(upper_bound(instance, args.engine, args.digits))
     if args.sides in ("lower", "both"):
-        results.append(lower_bound(instance, engine, digits))
+        results.append(lower_bound(instance, args.engine, args.digits))
 
     if args.format == "json":
         print(json.dumps([_bound_payload(instance, r) for r in results], indent=2))
@@ -145,10 +108,7 @@ def _cmd_bound(args) -> int:
 def _cmd_tail(args) -> int:
     n, m, s, k = args.n, args.m, args.s, args.k
     engine = resolve_engine(args.engine, n)
-    digits = _digits_or_env(args)
-    if digits is None:
-        digits = 30
-    ctx = PrecisionContext.for_digits(digits)
+    ctx = PrecisionContext.for_digits(args.digits)
     fn = left_tail if args.which == "left" else right_tail
     value = fn(n, m, s, k, engine, ctx)
     if args.format == "json":
@@ -156,8 +116,8 @@ def _cmd_tail(args) -> int:
             "n": _json_int(n), "m": _json_int(m), "s": _json_int(s), "k": _json_int(k),
             "which": args.which,
             "engine": str(engine),
-            "digits": digits,
-            "value": _tail_str(value, digits),
+            "digits": args.digits,
+            "value": _tail_str(value, args.digits),
         }
         if isinstance(value, Fraction):
             payload["exact"] = f"{value.numerator}/{value.denominator}"
@@ -165,7 +125,7 @@ def _cmd_tail(args) -> int:
     else:
         if isinstance(value, Fraction):
             print(f"{args.which} tail = {value.numerator}/{value.denominator}"
-                  f" = {_fraction_str(value, digits)}")
+                  f" = {_fraction_str(value, args.digits)}")
         else:
             print(f"{args.which} tail = {value}")
     return 0
@@ -225,14 +185,12 @@ def _cmd_batch(args) -> int:
     n, s, delta, conditions = _parse_batch(text.splitlines())
     # union bound: the 2j one-sided statements of j conditions share delta
     delta_side = delta / (2 * len(conditions))
-    engine = resolve_engine(args.engine, n)
-    digits = _digits_or_env(args)
 
     rows = []
     for label, k in sorted(conditions):
         instance = QueryInstance(n, s, k, delta_side)
-        rows.append((label, k, instance, upper_bound(instance, engine, digits),
-                     lower_bound(instance, engine, digits)))
+        rows.append((label, k, instance, upper_bound(instance, args.engine, args.digits),
+                     lower_bound(instance, args.engine, args.digits)))
 
     confidence = 1 - delta
     shown_digits = max(row[3].digits for row in rows)
@@ -268,7 +226,7 @@ def _cmd_batch(args) -> int:
 
 def _cmd_coverage(args) -> int:
     report = coverage_run(args.n, args.m, args.s, args.delta, args.trials,
-                          args.seed, engine=args.engine, digits=_digits_or_env(args))
+                          args.seed, engine=args.engine)
     if args.format == "json":
         print(json.dumps(asdict(report), indent=2))
     else:
@@ -280,8 +238,6 @@ def _cmd_coverage(args) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engine", choices=("direct", "stirling", "exact", "auto"), default="auto")
-    parser.add_argument("--digits", type=int, default=None,
-                        help=f"decimal precision (default from the instance; env {ENV_DIGITS})")
     parser.add_argument("--format", choices=("text", "json"), default="text")
 
 
@@ -294,35 +250,38 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bound = sub.add_parser("bound", help="bounds for one observed count")
-    p_bound.add_argument("--n", type=_positive_count, required=True)
-    p_bound.add_argument("--s", type=_positive_count, required=True)
+    p_bound.add_argument("--n", type=_count, required=True)
+    p_bound.add_argument("--s", type=_count, required=True)
     p_bound.add_argument("--k", type=_count, required=True)
-    p_bound.add_argument("--delta", type=_delta, required=True)
+    p_bound.add_argument("--delta", required=True)
     p_bound.add_argument("--sides", choices=("upper", "lower", "both"), default="both")
     p_bound.add_argument("--no-bonferroni", action="store_true",
                          help="with --sides both, use delta per side instead of delta/2")
+    p_bound.add_argument("--digits", type=int, help="at least 16 (default from the instance)")
     _add_common(p_bound)
     p_bound.set_defaults(func=_cmd_bound)
 
     p_tail = sub.add_parser("tail", help="one tail probability")
-    p_tail.add_argument("--n", type=_positive_count, required=True)
+    p_tail.add_argument("--n", type=_count, required=True)
     p_tail.add_argument("--m", type=_count, required=True)
-    p_tail.add_argument("--s", type=_positive_count, required=True)
+    p_tail.add_argument("--s", type=_count, required=True)
     p_tail.add_argument("--k", type=_count, required=True)
     p_tail.add_argument("--which", choices=("left", "right"), required=True)
+    p_tail.add_argument("--digits", type=int, default=30, help="at least 16 (default 30)")
     _add_common(p_tail)
     p_tail.set_defaults(func=_cmd_tail)
 
     p_batch = sub.add_parser("batch", help="bounds for many conditions from a file ('-' for stdin)")
     p_batch.add_argument("file")
+    p_batch.add_argument("--digits", type=int, help="at least 16 (default from the instance)")
     _add_common(p_batch)
     p_batch.set_defaults(func=_cmd_batch)
 
     p_cov = sub.add_parser("coverage", help="empirical bound-failure simulation")
-    p_cov.add_argument("--n", type=_positive_count, required=True)
+    p_cov.add_argument("--n", type=_count, required=True)
     p_cov.add_argument("--m", type=_count, required=True)
-    p_cov.add_argument("--s", type=_positive_count, required=True)
-    p_cov.add_argument("--delta", type=_delta, required=True)
+    p_cov.add_argument("--s", type=_count, required=True)
+    p_cov.add_argument("--delta", required=True)
     p_cov.add_argument("--trials", type=int, required=True)
     p_cov.add_argument("--seed", type=int, default=0)
     _add_common(p_cov)

@@ -25,8 +25,8 @@ from itertools import accumulate
 from typing import Iterator, Union
 
 from .exact import run
-from .model import (DomainError, QueryInstance, TailEngine, as_count, as_fraction,
-                    check_tail_domain, support)
+from .model import (DomainError, QueryInstance, TailEngine, as_count, check_tail_domain,
+                    support)
 from .solver import lower_bound, upper_bound
 
 
@@ -75,26 +75,26 @@ def sample_successes(n: int, m: int, s: int, u: float) -> int:
 
 
 def coverage_run(n: int, m: int, s: int, delta, trials: int, seed: int,
-                 engine: Union[TailEngine, str] = "auto",
-                 digits: int | None = None) -> CoverageReport:
+                 engine: Union[TailEngine, str] = "auto") -> CoverageReport:
     """Failure rates of both one-sided bounds over repeated sampling.
 
     A trial fails upward when the true m exceeds the upper bound computed
     from its draw, downward when m falls below the lower bound.  Both bounds
-    are nondecreasing in k, so each side solves only at a bisection's k.
+    are nondecreasing in k, so each side solves only at a bisection's k, at
+    the digit count the bound itself chooses.
     """
     n, m, s = as_count("n", n), as_count("m", m), as_count("s", s)
     trials = as_count("trials", trials)
     if trials < 1:
         raise DomainError(f"need at least one trial, got {trials}")
-    d = as_fraction(delta)
+    d = QueryInstance(n, s, 0, delta).delta  # checks n, s and delta before any draw
     draws = Counter(sample_successes(n, m, s, u) for u in _trial_uniforms(seed, trials))
     observed = sorted(draws)
     # first observed k whose upper bound reaches m, first whose lower bound exceeds it
     up = bisect_left(observed, True, key=lambda k: (
-        upper_bound(QueryInstance(n, s, k, d), engine, digits).m_hat >= m))
+        upper_bound(QueryInstance(n, s, k, d), engine).m_hat >= m))
     down = bisect_left(observed, True, key=lambda k: (
-        lower_bound(QueryInstance(n, s, k, d), engine, digits).m_hat > m))
+        lower_bound(QueryInstance(n, s, k, d), engine).m_hat > m))
     upper_failures = sum(draws[k] for k in observed[:up])
     lower_failures = sum(draws[k] for k in observed[down:])
     return CoverageReport(

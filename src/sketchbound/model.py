@@ -46,20 +46,14 @@ def as_fraction(value: Probability) -> Fraction:
     """Convert a probability-like value to an exact Fraction.
 
     Floats go through their shortest decimal repr, so 0.05 means 1/20
-    rather than the nearest binary double.
+    rather than the nearest binary double; NaNs and infinities are rejected.
     """
     if isinstance(value, Fraction):
-        return value
-    if isinstance(value, Decimal):
-        return Fraction(value)
-    if isinstance(value, float) or isinstance(value, str):
-        try:
-            return Fraction(Decimal(str(value)))
-        except (decimal.InvalidOperation, ValueError, OverflowError):
-            raise DomainError(f"not a valid probability: {value!r}") from None
-    if isinstance(value, int):
-        return Fraction(value)
-    raise DomainError(f"not a valid probability: {value!r}")
+        return value  # as is: the solver passes its validated delta on every solve
+    try:
+        return Fraction(value if isinstance(value, int) else Decimal(str(value)))
+    except (decimal.InvalidOperation, ValueError, OverflowError):
+        raise DomainError(f"not a valid probability: {value!r}") from None
 
 
 def as_count(name: str, value) -> int:
@@ -88,7 +82,7 @@ class QueryInstance:
         object.__setattr__(self, "k", as_count("successes", k))
         object.__setattr__(self, "delta", as_fraction(delta))
         if self.n < 1:
-            raise DomainError(f"population size must be >= 1, got {self.n}")
+            raise DomainError(f"population size must be >= 1, got n={self.n}")
         if not 1 <= self.s <= self.n:
             raise DomainError(f"sample size must satisfy 1 <= s <= n, got s={self.s}, n={self.n}")
         if not 0 <= self.k <= self.s:

@@ -73,12 +73,11 @@ def left_tail(n: int, m: int, s: int, k: int, engine: Union[TailEngine, str],
     memory of direct anchors (see direct.pmf_direct); the other engines
     ignore it.  The exact engine returns the oracle's Fraction.
     """
+    _check_counts(n, m, s, k)
     # a floating member skips the resolver, which every evaluation would pay
     if engine is TailEngine.EXACT or not isinstance(engine, TailEngine):
         engine = resolve_engine(engine, n)
     check_tail_domain(n, m, s)
-    if k < 0:
-        raise DomainError(f"tail index must be >= 0, got k={k}")
     if engine is TailEngine.EXACT:
         return exact.left_tail_exact(n, m, s, k)
     # A term at the walk's cut, target/20 of the anchor, must still move the sum.
@@ -95,6 +94,17 @@ def left_tail(n: int, m: int, s: int, k: int, engine: Union[TailEngine, str],
     j0 = _anchor_index(n, m, s, k, j_lo)
     anchor = pmf(n, m, s, j0, engine, ctx, anchors=anchors)
     return _walk_sum(n, m, s, k, j0, j_lo, anchor, ctx)
+
+
+def _check_counts(n: int, m: int, s: int, k: int) -> None:
+    """Reject a tail's count that is not an int, or a negative tail index."""
+    # every evaluation runs this: all ints pass in one chained comparison
+    if not type(n) is type(m) is type(s) is type(k) is int:
+        for name, value in zip("nmsk", (n, m, s, k)):
+            if not isinstance(value, int):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+    if k < 0:
+        raise DomainError(f"tail index must be >= 0, got k={k}")
 
 
 def _anchor_index(n: int, m: int, s: int, k: int, j_lo: int) -> int:
@@ -131,8 +141,7 @@ def right_tail(n: int, m: int, s: int, k: int, engine: Union[TailEngine, str],
                ctx: PrecisionContext) -> TailValue:
     """P(K >= k) = P(s - K <= s - k), the left tail of the mirrored population
     (n, n - m, s) under every engine; an empty sum, zero, for k > s."""
-    if k < 0:
-        raise DomainError(f"tail index must be >= 0, got k={k}")
+    _check_counts(n, m, s, k)
     if k <= s:
         return left_tail(n, n - m, s, s - k, engine, ctx)
     check_tail_domain(n, m, s)

@@ -1,4 +1,4 @@
-"""CLI contract: formats, golden outputs, exit codes, environment override."""
+"""CLI contract: formats, golden outputs, exit codes, error messages."""
 
 import json
 import os
@@ -332,18 +332,46 @@ def test_precision_infeasible_exits_3(capsys):
 @pytest.mark.parametrize("argv", [
     ("bound", "--n", "100", "--s", "20", "--k", "5", "--delta", "0.05"),
     ("tail", "--n", "10", "--m", "5", "--s", "4", "--k", "1", "--which", "left"),
-    ("coverage", "--n", "200", "--m", "70", "--s", "25", "--delta", "0.1",
-     "--trials", "5"),
+    ("batch", "-"),
 ])
-@pytest.mark.parametrize("source", ["flag", "env"])
-def test_digits_zero_is_rejected_not_the_default(capsys, monkeypatch, argv, source):
-    if source == "flag":
-        argv = (*argv, "--digits", "0")
-    else:
-        monkeypatch.setenv("SKETCHBOUND_DIGITS", "0")
-    code, _, err = run_cli(capsys, *argv)
+def test_digits_zero_is_rejected_not_the_default(capsys, monkeypatch, argv):
+    import io
+
+    # the batch row reads its file from stdin
+    monkeypatch.setattr("sys.stdin", io.StringIO("1000 100 0.1\na 7\n"))
+    code, _, err = run_cli(capsys, *argv, "--digits", "0")
     assert code == 2
     assert "precision" in err
+
+
+def _bad_inputs():
+    """(argv, names): argv has one bad input, and stderr names it one of these ways
+    (argparse names the flag; the library gives name=value or the text it rejected)."""
+    delta_ok = ("--delta", "0.05")
+    yield ("bound", "--n", "0", "--s", "5", "--k", "2", *delta_ok), ("--n", "n=0")
+    yield ("bound", "--n", "10", "--s", "0", "--k", "0", *delta_ok), ("--s", "s=0")
+    for delta in ("0", "1", "1.5", "-0.1", "abc", "nan"):
+        for sides in (("--sides", "both"), ("--sides", "upper"), ("--sides", "lower"),
+                      ("--no-bonferroni",)):
+            yield (("bound", "--n", "10", "--s", "5", "--k", "2", "--delta", delta, *sides),
+                   ("delta", repr(delta)))
+    tail = ("--k", "0", "--which", "left")
+    yield ("tail", "--n", "0", "--m", "0", "--s", "1", *tail), ("--n", "n=0")
+    yield ("tail", "--n", "10", "--m", "5", "--s", "0", *tail), ("--s", "s=0")
+    cov = ("--trials", "5")
+    yield ("coverage", "--n", "0", "--m", "0", "--s", "1", *delta_ok, *cov), ("--n", "n=0")
+    yield ("coverage", "--n", "200", "--m", "70", "--s", "0", *delta_ok, *cov), ("--s", "s=0")
+    for delta in ("1.5", "abc"):
+        yield (("coverage", "--n", "200", "--m", "70", "--s", "25", "--delta", delta, *cov),
+               ("delta", repr(delta)))
+
+
+@pytest.mark.parametrize("argv, names", list(_bad_inputs()))
+def test_bad_input_exits_2_and_names_it(capsys, argv, names):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert any(name in err for name in names), err
 
 
 def test_exact_engine_over_limit_exits_2(capsys):
@@ -361,19 +389,3 @@ def test_exact_engine_over_limit_exits_2_on_short_cuts(capsys, k, sides):
     assert code == 2
     assert out == ""
     assert "exact oracle" in err
-
-
-def test_env_digits_respected(capsys, monkeypatch):
-    monkeypatch.setenv("SKETCHBOUND_DIGITS", "42")
-    _, out, _ = run_cli(capsys, "tail", "--n", "10", "--m", "5", "--s", "4", "--k", "1",
-                        "--which", "left", "--engine", "direct", "--format", "json")
-    assert json.loads(out)["digits"] == 42
-    # explicit flag wins over the environment
-    _, out, _ = run_cli(capsys, "tail", "--n", "10", "--m", "5", "--s", "4", "--k", "1",
-                        "--which", "left", "--engine", "direct", "--digits", "20",
-                        "--format", "json")
-    assert json.loads(out)["digits"] == 20
-    monkeypatch.setenv("SKETCHBOUND_DIGITS", "pony")
-    code, _, _ = run_cli(capsys, "tail", "--n", "10", "--m", "5", "--s", "4", "--k", "1",
-                         "--which", "left", "--engine", "direct")
-    assert code == 2

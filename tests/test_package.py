@@ -36,6 +36,19 @@ def test_runtime_imports_only_the_standard_library():
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
 
 
+def test_no_module_reads_the_environment():
+    # settings come from arguments and flags, never from environment variables
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            assert not {"environ", "environb", "getenv", "getenvb"} & set(names), path.name
+
+
 def test_no_module_imports_a_private_name_from_another():
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

@@ -115,6 +115,23 @@ def test_right_tail_edges(engine):
             right_tail(10, 5, 20, k, engine, ctx)
 
 
+@pytest.mark.parametrize("tail", [left_tail, right_tail])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_tail_counts_must_be_ints(engine, tail):
+    ctx = PrecisionContext.for_digits(30)
+    counts = (100, 40, 10, 3)
+    for i, name in enumerate("nmsk"):
+        for bad in (float(counts[i]), counts[i] + 0.5, str(counts[i]), Fraction(counts[i])):
+            args = counts[:i] + (bad,) + counts[i + 1:]
+            with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+                tail(*args, engine, ctx)
+    # the k > s short cut of the right tail checks them too
+    with pytest.raises(DomainError, match="^k must be an integer"):
+        right_tail(100, 40, 10, 11.0, engine, ctx)
+    with pytest.raises(DomainError, match="^m must be an integer"):
+        right_tail(100, 40.5, 10, 11, engine, ctx)
+
+
 @pytest.mark.parametrize("engine", [TailEngine.DIRECT, TailEngine.STIRLING])
 def test_right_tail_is_the_mirrored_left_tail(engine):
     ctx = PrecisionContext.for_digits(30)
@@ -608,6 +625,11 @@ def test_instance_validation():
         QueryInstance(5, 3, 2, 0)
     with pytest.raises(DomainError):
         QueryInstance(5, 3, 2, 1)
+    # a delta that is not a finite number is refused in every form
+    for text in ("NaN", "sNaN", "Infinity", "-Infinity"):
+        for delta in (text, Decimal(text)):
+            with pytest.raises(DomainError, match="not a valid probability"):
+                QueryInstance(10, 5, 2, delta)
     # a fractional or unparsable count is refused, not truncated
     for args in [(10.7, 3, 1), (10, 3.9, 1), (10, 3, 1.5), ("abc", 3, 1), (10, None, 1)]:
         with pytest.raises(DomainError):
