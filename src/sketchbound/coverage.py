@@ -4,14 +4,17 @@ Draws without-replacement samples from a synthetic population with a known
 success count and reports how often each one-sided bound fails.  A trial's
 draw is the u-quantile of hypergeometric(n, m, s), u the top 53 bits of a
 blake2b hash of (seed, trial index), so results do not depend on
-scheduling.  Quantiles are bisected in a CDF table per (n, m, s), summed
-from exact.run's integer terms and divided into floats once.  By
-log-concavity each side stops at the first term t, reached by ratio r, where
-t/(1-r), a bound on the mass it drops, is below 2^-60 of the mode term.
+scheduling.  Quantiles come from a CDF table per (n, m, s), summed from
+exact.run's integer terms and divided into floats once; a run's uniforms are
+sorted once and cut at the table's entries.  By log-concavity each side of
+the table stops at the first term t, reached by ratio r, where t/(1-r), a
+bound on the mass it drops, is below 2^-60 of the mode term.
 
 Bounds depend on a draw only through k, and a larger k has a larger left tail
 at every m, so U(k) and L(k) = n - U(s - k) are nondecreasing in k: each side's
-failures lie on one side of a threshold in k, bisected over the observed k.
+failures lie on one side of a threshold in k.  The table predicts each
+threshold and bound solves at the observed k confirm it, two per side when the
+prediction is right; the counts rest on the solves alone.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .exact import run
 from .model import (DomainError, QueryInstance, TailEngine, as_count, check_tail_domain,
@@ -64,14 +67,42 @@ def _cdf_table(n: int, m: int, s: int) -> tuple[int, tuple[float, ...]]:
     return mode - len(down), tuple(c / cdf[-1] for c in cdf)
 
 
-def sample_successes(n: int, m: int, s: int, u: float) -> int:
-    """The u-quantile of hypergeometric(n, m, s), for u in [0, 1).
+def sample_successes(n: int, m: int, s: int, uniforms: Iterable[float]) -> Counter[int]:
+    """Counts of the u-quantiles of hypergeometric(n, m, s), for each u in [0, 1).
 
-    With u uniform this is the success count of a uniform without-replacement
-    sample of s from n items of which m are successes.
+    With u uniform a quantile is the success count of a uniform
+    without-replacement sample of s from n items of which m are successes.
+    K <= first + i exactly when u < cdf[i], so the sorted uniforms are cut at
+    the table's entries: one pair of bisections per distinct quantile.
     """
     first, cdf = _cdf_table(n, m, s)
-    return first + min(bisect_right(cdf, u), len(cdf) - 1)
+    us = sorted(uniforms)
+    last = len(cdf) - 1
+    draws: Counter[int] = Counter()
+    below = 0
+    while below < len(us):
+        i = min(bisect_right(cdf, us[below]), last)  # the quantile of the smallest u left
+        upto = bisect_left(us, cdf[i], below) if i < last else len(us)
+        draws[first + i] = upto - below
+        below = upto
+    return draws
+
+
+def _first_holding(observed: list[int], guess: int, holds: Callable[[int], bool]) -> int:
+    """Index of the first k in `observed` at which `holds`, false then true along it.
+
+    Solves first at the observed k at `guess`, then at the one just below it,
+    and bisects only what those two leave; only a solve's result moves the bracket.
+    """
+    lo, hi = 0, len(observed)
+    i = bisect_left(observed, guess)
+    for j in (i, i - 1):  # each only while it is still inside the bracket
+        if lo <= j < hi:
+            if holds(observed[j]):
+                hi = j
+            else:
+                lo = j + 1
+    return bisect_left(observed, True, lo, hi, key=holds)
 
 
 def coverage_run(n: int, m: int, s: int, delta, trials: int, seed: int,
@@ -80,20 +111,25 @@ def coverage_run(n: int, m: int, s: int, delta, trials: int, seed: int,
 
     A trial fails upward when the true m exceeds the upper bound computed
     from its draw, downward when m falls below the lower bound.  Both bounds
-    are nondecreasing in k, so each side solves only at a bisection's k, at
-    the digit count the bound itself chooses.
+    are nondecreasing in k, so each side's failures lie below or from a
+    threshold in k, which the CDF table predicts: U(k) >= m about when
+    P(K <= k) >= delta, and L(k) > m about when P(K >= k) < delta.  Each side
+    solves at the observed k at its prediction and just below it, and bisects
+    only what those leave open; the prediction picks where to solve, never a
+    count.  Every bound is solved at the digit count it chooses itself.
     """
     n, m, s = as_count("n", n), as_count("m", m), as_count("s", s)
     trials = as_count("trials", trials)
     if trials < 1:
         raise DomainError(f"need at least one trial, got {trials}")
     d = QueryInstance(n, s, 0, delta).delta  # checks n, s and delta before any draw
-    draws = Counter(sample_successes(n, m, s, u) for u in _trial_uniforms(seed, trials))
+    draws = sample_successes(n, m, s, _trial_uniforms(seed, trials))
     observed = sorted(draws)
+    first, cdf = _cdf_table(n, m, s)
     # first observed k whose upper bound reaches m, first whose lower bound exceeds it
-    up = bisect_left(observed, True, key=lambda k: (
+    up = _first_holding(observed, first + bisect_left(cdf, d), lambda k: (
         upper_bound(QueryInstance(n, s, k, d), engine).m_hat >= m))
-    down = bisect_left(observed, True, key=lambda k: (
+    down = _first_holding(observed, first + 1 + bisect_right(cdf, 1 - d), lambda k: (
         lower_bound(QueryInstance(n, s, k, d), engine).m_hat > m))
     upper_failures = sum(draws[k] for k in observed[:up])
     lower_failures = sum(draws[k] for k in observed[down:])

@@ -46,9 +46,11 @@ def run(n: int, m: int, s: int, j: int, stop: int, t: int, cut: int) -> list[int
     """
     terms = []
     r = n - m - s + 1
-    for i in range(j, stop):
-        a = (m - i) * (s - i)
-        b = (i + 1) * (r + i)
+    # m - i, s - i, i + 1 and r + i for i = j..stop-1; stepping them is cheaper than recomputing
+    for mi, si, i1, ri in zip(range(m - j, m - stop, -1), range(s - j, s - stop, -1),
+                              range(j + 1, stop + 1), range(r + j, r + stop)):
+        a = mi * si
+        b = i1 * ri
         t = t * a // b
         if t < cut and t * b < cut * (b - a):
             break

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import random
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 
@@ -22,18 +24,32 @@ def uniform(seed, index):
     return (int.from_bytes(digest, "big") >> 11) * 2.0 ** -53
 
 
+def quantile(n, m, s, u):
+    """The u-quantile by one bisection of the CDF table: K <= first + i exactly when u < cdf[i]."""
+    first, cdf = _cdf_table(n, m, s)
+    return first + min(bisect_right(cdf, u), len(cdf) - 1)
+
+
+def draw(n, m, s, u):
+    """The sampler's one draw from the single uniform u."""
+    draws = sample_successes(n, m, s, [u])
+    assert list(draws.values()) == [1]
+    return next(iter(draws))
+
+
 def test_sample_degenerate_populations():
     for u in (0.0, 0.5, LAST_UNIFORM):
-        assert sample_successes(50, 50, 12, u) == 12
-        assert sample_successes(50, 0, 12, u) == 0
-        assert sample_successes(1, 1, 1, u) == 1
+        assert draw(50, 50, 12, u) == 12
+        assert draw(50, 0, 12, u) == 0
+        assert draw(1, 1, 1, u) == 1
+    assert sample_successes(50, 50, 12, [0.0, 0.5, LAST_UNIFORM]) == Counter({12: 3})
 
 
 def test_sample_rejects_bad_domains():
     with pytest.raises(DomainError):
-        sample_successes(10, 11, 4, 0.5)
+        sample_successes(10, 11, 4, [0.5])
     with pytest.raises(DomainError):
-        sample_successes(10, 5, 0, 0.5)
+        sample_successes(10, 5, 0, [0.5])
 
 
 def test_sample_is_the_exact_quantile_function():
@@ -45,10 +61,27 @@ def test_sample_is_the_exact_quantile_function():
                 below = Fraction(0)
                 for j in range(lo, hi + 1):
                     upto = below + pmf_exact(n, m, s, j)
-                    assert sample_successes(n, m, s, float((below + upto) / 2)) == j, (n, m, s)
+                    assert draw(n, m, s, float((below + upto) / 2)) == j, (n, m, s)
                     below = upto
-                assert sample_successes(n, m, s, 0.0) == lo
-                assert sample_successes(n, m, s, LAST_UNIFORM) == hi
+                assert draw(n, m, s, 0.0) == lo
+                assert draw(n, m, s, LAST_UNIFORM) == hi
+
+
+def test_sample_counts_every_uniform_at_its_quantile():
+    # every cut value exactly, the float just below it, 0, the last uniform, duplicates
+    rng = random.Random(5)
+    cases = [(n, m, s) for n in (1, 2, 7, 40) for m in range(n + 1) for s in range(1, n + 1)]
+    cases += [(2500, 500, 150), (9000, 36, 600), (10**6, 3 * 10**5, 10**4),
+              (10**12, 9 * 10**11, 10**6)]
+    for n, m, s in cases:
+        cuts = [c for c in _cdf_table(n, m, s)[1] if c < 1]
+        uniforms = cuts + cuts + [math.nextafter(c, 0) for c in cuts]
+        uniforms += [0.0, 0.0, LAST_UNIFORM, LAST_UNIFORM] + [rng.random() for _ in range(50)]
+        rng.shuffle(uniforms)
+        draws = sample_successes(n, m, s, iter(uniforms))
+        assert draws == Counter(quantile(n, m, s, u) for u in uniforms), (n, m, s)
+        assert sum(draws.values()) == len(uniforms) and min(draws.values()) > 0
+    assert sample_successes(40, 15, 10, []) == Counter()
 
 
 def test_flagship_table_is_bounded_and_centred():
@@ -57,7 +90,7 @@ def test_flagship_table_is_bounded_and_centred():
     sd = math.sqrt(s * (m / n) * (1 - m / n) * (n - s) / (n - 1))
     # a cut at 2^-60 of the mode term keeps about 9.6 sd on each side of it
     assert len(cdf) < 20 * sd
-    assert first <= sample_successes(n, m, s, 0.0) < sample_successes(n, m, s, LAST_UNIFORM)
+    assert first <= draw(n, m, s, 0.0) < draw(n, m, s, LAST_UNIFORM)
     # E[K] = first + sum over the table of P(K > j)
     mean = first + math.fsum(1 - c for c in cdf[:-1])
     assert abs(mean - s * m / n) < 1e-6 * sd
@@ -65,7 +98,8 @@ def test_flagship_table_is_bounded_and_centred():
 
 def test_sample_mean_matches_hypergeometric():
     n, m, s, trials = 100, 30, 20, 100_000
-    total = sum(sample_successes(n, m, s, u) for u in _trial_uniforms(99, trials))
+    draws = sample_successes(n, m, s, _trial_uniforms(99, trials))
+    total = sum(k * count for k, count in draws.items())
     mean = total / trials
     # Var(K) = s m/n (1-m/n) (n-s)/(n-1); three sigma of the trial mean
     var = s * (m / n) * (1 - m / n) * (n - s) / (n - 1)
@@ -75,9 +109,8 @@ def test_sample_mean_matches_hypergeometric():
 
 def test_sample_distribution_chi_square():
     n, m, s, trials = 40, 15, 10, 100_000
-    counts = [0] * (s + 1)
-    for u in _trial_uniforms(7, trials):
-        counts[sample_successes(n, m, s, u)] += 1
+    draws = sample_successes(n, m, s, _trial_uniforms(7, trials))
+    counts = [draws[j] for j in range(s + 1)]
     expected = [float(pmf_exact(n, m, s, j)) * trials for j in range(s + 1)]
     # merge sparse cells into their inner neighbor so every expected count >= 5
     bins: list[tuple[float, float]] = []
@@ -105,7 +138,7 @@ def test_trial_stream_hashes_seed_and_index():
 
 def reference_coverage(n, m, s, delta, trials, seed, engine):
     """Failure counts with both bounds solved at every observed k."""
-    draws = Counter(sample_successes(n, m, s, uniform(seed, i)) for i in range(trials))
+    draws = Counter(quantile(n, m, s, uniform(seed, i)) for i in range(trials))
     up = down = 0
     for k, count in draws.items():
         inst = QueryInstance(n, s, k, delta)
@@ -136,6 +169,26 @@ def test_bisection_matches_every_k_and_bounds_its_solves(monkeypatch):
                     assert len(calls) <= 2 * math.ceil(math.log2(distinct + 1)), key
                     widest = max(widest, distinct)
     assert widest >= 30
+
+
+@pytest.mark.parametrize("delta", [Fraction(1, 20), Fraction(1, 100), Fraction(1, 10**6)])
+def test_benchmark_shapes_settle_each_side_in_two_solves(monkeypatch, delta):
+    # the coverage benchmark's three (n, s, m) centres, engine auto (the exact oracle)
+    solves = {"upper_bound": 0, "lower_bound": 0}
+    for name in solves:
+        real = getattr(coverage, name)
+
+        def spy(*args, name=name, real=real):
+            solves[name] += 1
+            return real(*args)
+        monkeypatch.setattr(coverage, name, spy)
+    for n, s, m in ((2_500, 150, 500), (4_000, 250, 200), (9_000, 600, 36)):
+        for seed in (0, 1):
+            solves.update(upper_bound=0, lower_bound=0)
+            got = coverage_run(n, m, s, delta, 2000, seed)
+            assert max(solves.values()) <= 2, (n, s, m, seed, solves)
+            up, down, _ = reference_coverage(n, m, s, delta, 2000, seed, "auto")
+            assert (got.upper_failures, got.lower_failures) == (up, down), (n, s, m, seed)
 
 
 def test_reports_are_reproducible():
