@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--sides", choices=("upper", "lower", "both"), default="both")
     p_bound.add_argument("--no-bonferroni", action="store_true",
                          help="with --sides both, use delta per side instead of delta/2")
-    p_bound.add_argument("--digits", type=int, help="at least 16 (default from the instance)")
+    p_bound.add_argument("--digits", type=int, help="16 to 1000 (default from the instance)")
     _add_common(p_bound)
     p_bound.set_defaults(func=_cmd_bound)
 
@@ -267,13 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_tail.add_argument("--s", type=_count, required=True)
     p_tail.add_argument("--k", type=_count, required=True)
     p_tail.add_argument("--which", choices=("left", "right"), required=True)
-    p_tail.add_argument("--digits", type=int, default=30, help="at least 16 (default 30)")
+    p_tail.add_argument("--digits", type=int, default=30, help="16 to 1000 (default 30)")
     _add_common(p_tail)
     p_tail.set_defaults(func=_cmd_tail)
 
     p_batch = sub.add_parser("batch", help="bounds for many conditions from a file ('-' for stdin)")
     p_batch.add_argument("file")
-    p_batch.add_argument("--digits", type=int, help="at least 16 (default from the instance)")
+    p_batch.add_argument("--digits", type=int, help="16 to 1000 (default from the instance)")
     _add_common(p_batch)
     p_batch.set_defaults(func=_cmd_batch)
 

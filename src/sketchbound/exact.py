@@ -64,6 +64,11 @@ def _run_sum(n: int, m: int, s: int, a: int, b: int) -> int:
     return t + sum(run(n, m, s, a, b, t, 0))
 
 
+def pmf_exact(n: int, m: int, s: int, j: int) -> Fraction:
+    """P(K = j), exact, for j inside the support."""
+    return Fraction(math.comb(m, j) * math.comb(n - m, s - j), _total(n, s))
+
+
 def left_tail_exact(n: int, m: int, s: int, k: int) -> Fraction:
     """P(K <= k), exact, for 0 <= m <= n, 1 <= s <= n and k >= 0.
 

@@ -18,6 +18,11 @@ Probability = Union[Fraction, Decimal, float, str]
 _EMAX = 10**12
 _EMIN = -(10**12)
 
+# The most digits a precision contract may ask for.  Far more than any bound
+# needs at delta above 1e-900, and it keeps the Stirling series' memo of
+# Bernoulli numbers (see stirling._bernoulli) bounded.
+MAX_DIGITS = 1000
+
 
 class DomainError(ValueError):
     """An argument violates the documented domain of an operation."""
@@ -117,7 +122,8 @@ def decimal_context(digits: int) -> decimal.Context:
 class PrecisionContext:
     """Arithmetic contract for a tail evaluation.
 
-    digits            decimal significant digits of every Decimal operation
+    digits            decimal significant digits of every Decimal operation,
+                      16 to MAX_DIGITS
     abs_error_target  error allowed in one tail value, absolute and relative
                       to the tail; a tail walk drops terms summing to at
                       most a tenth of it relative to the tail
@@ -127,8 +133,8 @@ class PrecisionContext:
     abs_error_target: Decimal
 
     def __post_init__(self):
-        if self.digits < 16:
-            raise DomainError(f"precision must be at least 16 digits, got {self.digits}")
+        if not 16 <= self.digits <= MAX_DIGITS:
+            raise DomainError(f"precision must be 16 to {MAX_DIGITS} digits, got {self.digits}")
         if not self.abs_error_target > 0:
             raise DomainError("abs_error_target must be positive")
 

@@ -5,21 +5,26 @@ endpoint's computed tail is at or above the failure budget, the high
 endpoint's below it.  Each step takes the secant of ln tail(m) - ln delta
 through the last two points and bisects instead when that leaves the
 bracket, meets a zero tail, or could overrun the ceil(log2 n) + 2
-evaluation budget; only a computed tail moves an endpoint.  Seeds (the
-sample proportion for low, a Hoeffding bound for high) are hints only;
-they enter the bracket solely after their tails check out.  Lower bounds
-come from the upper bound of the complemented condition, and every bound
-takes its digit count from the precision chooser, which keeps tail errors
-inside the tail gaps.  A floating tail sums outward from one anchor term, in
-integers, and stops each side on a bound of the mass it drops, relative to
-the anchor, so its error is relative to the tail; right tails are mirrored.
+evaluation budget; only a computed tail moves an endpoint.  Once the
+secant's next point lies within one standard deviation of K of the tail
+just evaluated, the last steps need no evaluation: the gap identity
+left(m) - left(m + 1) = p_m(k) (s - k) / (n - m) steps tails from that one,
+with one more pmf term, until they cross delta.  Seeds (the sample
+proportion for low, the relative-entropy form of Hoeffding's bound for
+high) are hints only; they enter the bracket solely after their tails
+check out.  Lower bounds come from the upper bound of the complemented
+condition, and every bound takes its digit count from the precision
+chooser, which keeps tail errors inside the tail gaps.  A floating tail
+sums outward from one anchor term, in integers, and stops each side on a
+bound of the mass it drops, relative to the anchor, so its error is
+relative to the tail; right tails are mirrored.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Union
 
@@ -149,8 +154,11 @@ def right_tail(n: int, m: int, s: int, k: int, engine: Union[TailEngine, str],
 
 
 def pmf(n: int, m: int, s: int, j: int, engine: TailEngine,
-        ctx: PrecisionContext, *, anchors: dict | None = None) -> Decimal:
-    """P(K = j) under a floating engine: the anchor term of a tail."""
+        ctx: PrecisionContext, *, anchors: dict | None = None) -> TailValue:
+    """P(K = j) under a concrete engine: the anchor term of a floating tail,
+    or the exact engine's rational."""
+    if engine is TailEngine.EXACT:
+        return exact.pmf_exact(n, m, s, j)
     if engine is TailEngine.DIRECT:
         return direct.pmf_direct(n, m, s, j, ctx, anchors=anchors)
     return ctx.context.exp(stirling.log_pmf(n, m, s, j, ctx))
@@ -177,9 +185,29 @@ def choose_precision(n: int, k: int, delta: Probability,
 
 
 def start_high(n: int, s: int, k: int, delta: Probability) -> int:
-    """Hoeffding seed for the high endpoint; the caller verifies its tail."""
-    radical = math.sqrt(-_ln(as_fraction(delta)) / (2 * s))
-    return min(math.ceil(n * (k / s + radical)), n)
+    """Relative-entropy seed for the high endpoint, for k < s; the caller verifies its tail.
+
+    ceil(n p) for the root p > q = k/s of KL(q || p) = c = ln(1/delta) / s,
+    where Hoeffding's (1963) bound exp(-s KL(q || p)) on the binomial left
+    tail, which also bounds the hypergeometric one, reaches delta:
+    1 - delta^(1/s) at k = 0.  Newton's method on the convex, increasing
+    KL(q || p) starts right of the root, at the smaller of Hoeffding's
+    radical q + sqrt(c/2) and the root of q ln q + (1 - q) ln((1 - q)/(1 - p))
+    = c, a lower bound of KL, and stays right of it until rounding stops the
+    descent.
+    """
+    q, c = k / s, -_ln(as_fraction(delta)) / s
+    q_ln_q = q * math.log(q) if q else 0.0
+    p = min(q + math.sqrt(c / 2), q - (1 - q) * math.expm1((q_ln_q - c) / (1 - q)))
+    while p < 1:
+        f = (q * math.log(q / p) if q else 0.0) + (1 - q) * math.log((1 - q) / (1 - p)) - c
+        if not f > 0:
+            break
+        step = p - f * p * (1 - p) / (p - q)
+        if not step < p:
+            break
+        p = step
+    return min(math.ceil(n * p), n)
 
 
 def upper_bound(instance: QueryInstance, engine: Union[TailEngine, str] = "auto",
@@ -190,7 +218,9 @@ def upper_bound(instance: QueryInstance, engine: Union[TailEngine, str] = "auto"
     delta > tail(m_hat + 1) as computed, against the exact rational delta.
     The digit count comes from choose_precision(n, k, delta, digits), so
     tail errors stay inside the consecutive-tail gaps and m_hat is within
-    one of the sharp bound.
+    one of the sharp bound.  A recorded tail is an evaluated one, or one
+    gap-stepped from an evaluated one (see _gap_steps, which states what the
+    steps add to its error); iterations counts the evaluations.
     """
     n, s, k, delta = instance.n, instance.s, instance.k, instance.delta
     eng = resolve_engine(engine, n)
@@ -213,7 +243,7 @@ def upper_bound(instance: QueryInstance, engine: Union[TailEngine, str] = "auto"
         if t >= delta:
             lo, t_lo = seed, t
     # first m whose tail is structurally zero: a valid high endpoint with no
-    # evaluation, taken whenever the Hoeffding seed reaches it
+    # evaluation, taken whenever the relative-entropy seed reaches it
     zero_m = n - (s - k) + 1
     hi = start_high(n, s, k, delta)
     if hi <= lo or hi >= zero_m:
@@ -230,7 +260,11 @@ def upper_bound(instance: QueryInstance, engine: Union[TailEngine, str] = "auto"
     # bisecting inside ceil(log2 n) + 2 evaluations
     budget = (n - 1).bit_length() + 2
     ln_delta = _ln(delta)
+    # the most gap steps N whose 3N + 2 half-units of 10^(1 - digits), as
+    # _gap_steps charges them, stay under target / 20
+    room = (int(ctx.abs_error_target.scaleb(ctx.digits - 2)) - 2) // 3
     a, t_a, b, t_b = lo, t_lo, hi, t_hi
+    evaluated = False  # whether b is a tail just evaluated, not a seed or a step
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if hi - lo > 2 and t_a and t_b and evals + (hi - lo - 1).bit_length() < budget:
@@ -239,6 +273,16 @@ def upper_bound(instance: QueryInstance, engine: Union[TailEngine, str] = "auto"
                 x = b - f_b * (b - a) / (f_b - f_a)
                 if lo - 1 <= x <= hi + 1:
                     mid = min(max(math.floor(x), lo + 1), hi - 1)
+        if evaluated and b >= k:
+            cap = min(_step_cap(n, s, b), room)
+            if abs(mid - b) <= cap:
+                p = pmf(n, b, s, k, eng, ctx, anchors=anchors)
+                lo, t_lo, hi, t_hi = _gap_steps(n, s, k, lo, t_lo, hi, t_hi, b, p, cap, delta,
+                                                ctx)
+                # a capped run hands the narrowed bracket back to the secant
+                a, t_a, b, t_b = (hi, t_hi, lo, t_lo) if b == lo else (lo, t_lo, hi, t_hi)
+                evaluated = False
+                continue
         t = left_tail(n, mid, s, k, eng, ctx, anchors=anchors)
         evals += 1
         if t >= delta:
@@ -246,7 +290,56 @@ def upper_bound(instance: QueryInstance, engine: Union[TailEngine, str] = "auto"
         else:
             hi, t_hi = mid, t
         a, t_a, b, t_b = b, t_b, mid, t
+        evaluated = True
     return BoundResult(lo, "upper", delta, eng, t_lo, t_hi, evals, ctx.digits)
+
+
+def _step_cap(n: int, s: int, m: int) -> int:
+    """The most gap steps worth taking from m: floor of K's standard deviation there.
+
+    An evaluation at m walks its terms down to target / 20 of the anchor,
+    several standard deviations of K (6-9 on the ladder's rungs), at about a
+    fifth of a gap step's cost per term, before its anchor: so up to one
+    standard deviation of steps costs less than the evaluation it replaces.
+    """
+    return math.isqrt(s * m * (n - m) * (n - s) // (n * n * (n - 1)))
+
+
+def _gap_steps(n: int, s: int, k: int, lo: int, t_lo: TailValue, hi: int, t_hi: TailValue,
+               b: int, p: TailValue, cap: int, delta: Fraction,
+               ctx: PrecisionContext) -> tuple[int, TailValue, int, TailValue]:
+    """Narrow the bracket from its endpoint b, k <= b, by the gap identity.
+
+    left(m) - left(m + 1) = g(m) = p_m(k) (s - k) / (n - m), with p = p_b(k),
+    and g(m + 1) / g(m) = (m + 1)(n - m - s + k) / ((m + 1 - k)(n - m - 1)).
+    From b = lo the tails step up while they meet delta, from b = hi down
+    until they do (down only to k + 1: every tail at m <= k is 1), at most
+    cap steps and never onto the other endpoint; returns the new bracket,
+    closed unless the cap or k stopped the steps.  Decimal steps round at
+    ctx.digits: each g twice per step and each tail once, so N steps leave a
+    tail off by its start's error, p's relative error times the distance
+    stepped, and under 3N + 2 half-units in the last place of the larger of
+    the two tails, below target / 20 for N <= room in upper_bound.  The exact
+    engine's Fractions step exactly.
+    """
+    with localcontext(ctx.context):
+        if b == lo:
+            g = p * (s - k) / (n - lo)
+            for m in range(lo + 1, min(hi, lo + cap + 1)):
+                t = t_lo - g
+                if t < delta:
+                    return lo, t_lo, m, t
+                lo, t_lo = m, t
+                g = g * (m * (n - m - s + k + 1)) / ((m - k) * (n - m))
+        else:
+            g = p * ((s - k) * (hi - k)) / (hi * (n - hi - s + k + 1))
+            for m in range(hi - 1, max(lo, k, hi - cap - 1), -1):
+                t = t_hi + g
+                if t >= delta:
+                    return m, t, hi, t_hi
+                hi, t_hi = m, t
+                g = g * ((m - k) * (n - m)) / (m * (n - m - s + k + 1))
+    return lo, t_lo, hi, t_hi
 
 
 def _ln(x: TailValue) -> float:

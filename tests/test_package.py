@@ -1,11 +1,26 @@
 """Package surface: the exported names, the runtime imports, the caches."""
 
 import ast
+import gc
+import random
 import sys
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import sketchbound
-from sketchbound import coverage, direct, exact, model, stirling
+from sketchbound import (
+    QueryInstance,
+    TailEngine,
+    coverage,
+    coverage_run,
+    direct,
+    exact,
+    lower_bound,
+    model,
+    stirling,
+    upper_bound,
+)
 
 SRC = Path(sketchbound.__file__).parent
 
@@ -96,3 +111,43 @@ def test_module_level_caches_are_bounded():
               stirling._ln2pi, coverage._cdf_table, exact._total]
     for cache in caches:
         assert cache.cache_info().maxsize is not None, cache
+
+
+def test_retained_memory_levels_off():
+    """A long run of varied solves retains no more memory once warmed up.
+
+    Every engine, n up to 1e12, up to 200 digits and coverage's CDF
+    tables, five rounds of 240 solves under tracemalloc: the bounded caches
+    fill in the first three, and the memory still held after each later round
+    stays within 10% of the most held after those (the caches swap entries
+    of varying size, so the level moves by a few percent).
+    """
+    rng = random.Random(71)
+    engines = (TailEngine.DIRECT, TailEngine.STIRLING, TailEngine.EXACT)
+
+    def solves(count: int) -> None:
+        for i in range(count):
+            engine = engines[i % 3]
+            n = rng.randrange(2, 3001) if engine is TailEngine.EXACT else int(10 ** rng.uniform(1, 12))
+            s = rng.randrange(1, min(n, 200) + 1)
+            inst = QueryInstance(n, s, rng.randrange(s + 1), Fraction(1, rng.choice([2, 20, 100, 10**6])))
+            digits = rng.choice([None] * 12 + [40, 100, 200])
+            upper_bound(inst, engine, digits)
+            lower_bound(inst, engine, digits)
+            if i % 10 == 0:
+                n = rng.randrange(100, 5000)
+                coverage_run(n, rng.randrange(n + 1), rng.randrange(1, 200), 0.05, 20, i,
+                             engine=engines[i // 10 % 3])
+
+    tracemalloc.start()
+    try:
+        held = []
+        for _ in range(5):
+            solves(120)
+            gc.collect()
+            held.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert max(held[3:]) <= 1.1 * max(held[:3]), held
+    # the Stirling series' Bernoulli memo grew only with the largest digit count
+    assert len(stirling._bernoulli_memo) < 300

@@ -183,6 +183,45 @@ def test_floating_tails_within_target_against_mpmath(log_n, s, k_frac, shift, en
         assert err <= target * ref, (got, ref)
 
 
+def certificate(r, inst) -> list[tuple[int, object, int]]:
+    """(m, tail, k) of a result's two certificate tails as left tails of the
+    upper-bound search that made them: a lower bound's are its dual's."""
+    n, s, k = inst.n, inst.s, inst.k
+    if r.side == "lower":
+        m, k = n - r.m_hat, s - k
+    else:
+        m = r.m_hat
+    return [(m, r.tail_at_m_hat, k), (m + 1, r.tail_at_m_hat_plus_1, k)]
+
+
+@pytest.mark.parametrize("n, s, k, engine", [
+    (10**6, 10**4, 9000, "stirling"), (10**6, 10**4, 9000, "direct"),
+    (10**9, 10**5, 90_000, "stirling"), (10**9, 10**5, 90_000, "direct"),
+    (10**12, 10**6, 900_000, "stirling"), (10**12, 10**6, 104, "stirling"),
+    (10**12, 10**7, 9 * 10**6, "stirling"),
+])
+def test_certificate_tails_within_target_against_mpmath(monkeypatch, mp_left_tail, n, s, k, engine):
+    """A solve's certificate, gap-stepped tails included, at the ladder's
+    rungs and the flagship: both error measures within the target."""
+    import mpmath
+
+    calls = record_tail_calls(monkeypatch)
+    inst = QueryInstance(n, s, k, Fraction(1, 20))
+    stepped = 0
+    for solve in (upper_bound, lower_bound):
+        calls.clear()
+        r = solve(inst, engine)
+        evaluated = {m for m, _ in calls}
+        for m, t, k_eff in certificate(r, inst):
+            stepped += m not in evaluated
+            ref = mp_left_tail(n, m, s, k_eff, 60)
+            with mpmath.workdps(60):
+                target = mpmath.mpf(str(choose_precision(n, k_eff, inst.delta).abs_error_target))
+                err = abs(mpmath.mpf(str(t)) - ref)
+                assert err <= target and err <= target * ref, (r.side, m, t, ref)
+    assert stepped
+
+
 def walk_error(n: int, m: int, s: int, k: int, ctx: PrecisionContext) -> tuple:
     """(error, allowed) of the walk from the exact anchor term rounded into ctx.
 
@@ -292,22 +331,59 @@ def test_start_low_falls_back_to_zero(monkeypatch):
 
 def test_structurally_zero_high_seed_is_not_evaluated(monkeypatch):
     calls = record_tail_calls(monkeypatch)
-    # the Hoeffding seed clamps at n, where no m from n - (s - k) + 1 = n on
-    # can have a tail above 0: that m is the high endpoint, unevaluated
-    inst = QueryInstance(10**6, 100, 99, Fraction(1, 20))
+    # the relative-entropy seed reaches n, where no m from n - (s - k) + 1 = n
+    # on can have a tail above 0: that m is the high endpoint, unevaluated
+    inst = QueryInstance(10**6, 100, 99, Fraction(1, 10**8))
     assert start_high(10**6, 100, 99, inst.delta) == 10**6
     r = upper_bound(inst, TailEngine.STIRLING)
     assert 10**6 not in [m for m, _ in calls]
-    assert r.m_hat == 999_487
+    assert r.m_hat == 999_999
     assert_certificate_computed(calls, inst, r)
 
 
+def kl(q, p):
+    """Relative entropy KL(q || p) of two Bernoulli laws, in mpmath."""
+    import mpmath
+
+    q, p = mpmath.mpf(q), mpmath.mpf(p)
+    return (q * mpmath.log(q / p) if q else 0) + (1 - q) * mpmath.log((1 - q) / (1 - p))
+
+
 def test_start_high_formula():
-    assert start_high(100, 10, 5, 0.05) == 89  # ceil(100 * 0.88702...)
-    # radical pushes past 1: clamp at n
-    assert start_high(50, 2, 2, 0.01) == 50
-    # frozen from the formula at the trillion-scale instance
-    assert start_high(10**12, 10**7, 9 * 10**6, 0.05) == 900_387_022_757
+    """ceil(n p) for the root p > k/s of s KL(k/s || p) = ln(1/delta)."""
+    mpmath = pytest.importorskip("mpmath")
+    cases = [(100, 10, 5, Fraction(1, 20), 84), (10**6, 10**4, 9000, Fraction(1, 20), 907_184),
+             (10**12, 10**6, 104, Fraction(1, 100), 138_090_498),
+             (10**12, 10**7, 9 * 10**6, Fraction(1, 20), 900_232_053_874)]
+    with mpmath.workdps(50):
+        for n, s, k, delta, seed in cases:
+            assert start_high(n, s, k, delta) == seed
+            q, target = mpmath.mpf(k) / s, -mpmath.log(mpmath.mpf(delta.numerator) / delta.denominator)
+            assert s * kl(q, mpmath.mpf(seed) / n) >= target > s * kl(q, mpmath.mpf(seed - 1) / n)
+        # at k = 0 the root is 1 - delta^(1/s)
+        for n, s, delta in [(20, 5, Fraction(1, 20)), (1000, 30, Fraction(1, 100)),
+                            (10**6, 100, Fraction(1, 20)), (10**12, 10**7, Fraction(1, 10**6))]:
+            root = 1 - (mpmath.mpf(delta.numerator) / delta.denominator) ** (mpmath.mpf(1) / s)
+            assert start_high(n, s, 0, delta) == int(mpmath.ceil(n * root))
+    # a root within rounding of 1 clamps at n
+    assert start_high(50, 1, 0, Fraction(1, 10**20)) == 50
+
+
+def test_start_high_tail_is_below_delta():
+    # Hoeffding's bound holds for the hypergeometric tail, so wherever the seed
+    # is short of the structural zero its exact tail is already below delta;
+    # a sample of one is a single Bernoulli draw, where the bound is exact
+    seen = 0
+    for n in range(2, 41):
+        for s in range(1, n + 1):
+            for k in range(s):
+                for delta in (Fraction(1, 2), Fraction(1, 20), Fraction(1, 100), Fraction(1, 10**6)):
+                    m = start_high(n, s, k, delta)
+                    if m < n - (s - k) + 1:
+                        tail = left_tail_exact(n, m, s, k)
+                        assert tail < delta or (tail == delta and s == 1), (n, s, k, delta, m)
+                        seen += 1
+    assert seen > 10_000
 
 
 def test_upper_bound_degenerate_k_equals_s():
@@ -446,6 +522,19 @@ def test_iteration_budget():
         assert lower_bound(inst, engine).iterations <= budget
 
 
+def test_structural_zero_searches():
+    # Next to the structural zero n - (s - k) + 1 the tail falls like a power
+    # of its distance from it, every secant root leaves the bracket, and the
+    # search bisects: a walk there sums a few terms and K's standard
+    # deviation is under one, so no gap steps cut these short either.
+    for solve, inst, m_hat, evals in [
+            (lower_bound, QueryInstance(10**12, 10**6, 1, Fraction(1, 10**8)), 1, 21),
+            (lower_bound, QueryInstance(10**9, 10**4, 1, Fraction(1, 10**8)), 1, 18),
+            (upper_bound, QueryInstance(10**6, 100, 99, Fraction(1, 10**8)), 999_999, 15)]:
+        r = solve(inst, TailEngine.STIRLING)
+        assert (r.m_hat, r.iterations) == (m_hat, evals), inst
+
+
 SEARCH_CASES = [
     (n, s, k, delta)
     for n, s in [(10**7, 1000), (10**9, 2000), (10**12, 4000)]
@@ -456,19 +545,75 @@ SEARCH_CASES = [
 
 @pytest.mark.parametrize("engine", [TailEngine.STIRLING, TailEngine.DIRECT])
 def test_search_agrees_with_plain_bisection(engine):
-    """The secant search keeps a verified bracket, so it must end where
-    bisection over the same computed tails ends: same m_hat, same two
-    certificate tails, and inside the ceil(log2 n) + 2 budget."""
+    """The search keeps a verified bracket, so it must end where bisection
+    over the same computed tails ends: same m_hat, inside the ceil(log2 n) + 2
+    budget.  A gap-stepped certificate tail is not bit-equal to the tail
+    bisection evaluates at the same m, but within the target of it."""
     for n, s, k, delta in SEARCH_CASES:
         inst = QueryInstance(n, s, k, delta)
         budget = math.ceil(math.log2(n)) + 2
-        for r, (m_hat, t_at, t_next) in [(upper_bound(inst, engine), bisect_upper(inst, engine)),
-                                         (lower_bound(inst, engine), bisect_lower(inst, engine))]:
+        for r, (m_hat, t_at, t_next), k_eff in [
+                (upper_bound(inst, engine), bisect_upper(inst, engine), k),
+                (lower_bound(inst, engine), bisect_lower(inst, engine), s - k)]:
             case = (n, s, k, delta, r.side)
+            target = Fraction(choose_precision(n, k_eff, delta).abs_error_target)
             assert r.m_hat == m_hat, case
-            assert r.tail_at_m_hat == t_at, case
-            assert r.tail_at_m_hat_plus_1 == t_next, case
+            assert abs(Fraction(r.tail_at_m_hat) - Fraction(t_at)) <= target, case
+            assert abs(Fraction(r.tail_at_m_hat_plus_1) - Fraction(t_next)) <= target, case
             assert r.iterations <= budget, case
+
+
+@pytest.mark.parametrize("engine", [TailEngine.DIRECT, TailEngine.STIRLING])
+def test_gap_stepped_tails_against_exact_oracle(monkeypatch, engine):
+    """Every certificate tail that gap steps made, not an evaluation, is
+    within the target of the exact tail, absolutely and relative to it: at
+    every bound with n <= 16 and a fixed sample of the rest of the n <= 60 grid."""
+    calls = record_tail_calls(monkeypatch)
+    rng = random.Random(67)
+    points = [(n, s, k) for n in range(2, 17) for s in range(1, n + 1) for k in range(s)]
+    while len(points) < 4000:
+        n = rng.randrange(17, 61)
+        s = rng.randrange(1, n + 1)
+        points.append((n, s, rng.randrange(s)))
+    stepped = 0
+    for n, s, k in points:
+        for delta in (Fraction(1, 2), Fraction(1, 10), Fraction(1, 20), Fraction(1, 100)):
+            calls.clear()
+            inst = QueryInstance(n, s, k, delta)
+            r = upper_bound(inst, engine)
+            evaluated = {m for m, _ in calls}
+            target = Fraction(choose_precision(n, k, delta).abs_error_target)
+            for m, t, _ in certificate(r, inst):
+                if m in evaluated or m == 0 or m > n - (s - k):
+                    continue
+                stepped += 1
+                exact_tail = left_tail_exact(n, m, s, k)
+                err = abs(Fraction(t) - exact_tail)
+                assert err <= target and err <= target * exact_tail, (n, s, k, delta, m)
+    assert stepped > 5000
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_forced_step_cap_keeps_m_hat_inside_budget(monkeypatch, cap):
+    """With no gap steps, or runs of one, the search ends at the same m_hat
+    inside criterion 8's ceil(log2 n) + 2 evaluations."""
+    rng = random.Random(109)
+    cases = []
+    for _ in range(40):
+        n = rng.randrange(2, 5000)
+        s = rng.randrange(1, n + 1)
+        cases.append((QueryInstance(n, s, rng.randrange(s + 1), Fraction(rng.randrange(1, 99), 100)),
+                      rng.choice(ENGINES)))
+    cases += [(QueryInstance(n, s, k, delta), TailEngine.STIRLING)
+              for n, s, k, delta in SEARCH_CASES if delta == Fraction(1, 20)]
+    cases.append((QueryInstance(10**12, 10**6, 900_000, Fraction(1, 20)), TailEngine.STIRLING))
+    expected = [(upper_bound(inst, e).m_hat, lower_bound(inst, e).m_hat) for inst, e in cases]
+    monkeypatch.setattr(solver, "_step_cap", lambda n, s, m: cap)
+    for (inst, engine), want in zip(cases, expected):
+        budget = math.ceil(math.log2(inst.n)) + 2 if inst.n > 1 else 2
+        up, down = upper_bound(inst, engine), lower_bound(inst, engine)
+        assert (up.m_hat, down.m_hat) == want, (inst, engine)
+        assert max(up.iterations, down.iterations) <= budget, (inst, engine)
 
 
 def test_flagship_upper_bound_takes_few_evaluations():
@@ -583,6 +728,12 @@ def test_choose_precision_invariants():
         assert override.abs_error_target == ctx.abs_error_target
     with pytest.raises(DomainError):
         choose_precision(10, 2, 0.05, digits=8)
+    # at most 1000 digits, which bounds the Stirling series' Bernoulli memo
+    assert choose_precision(10, 2, 0.05, digits=1000).digits == 1000
+    with pytest.raises(DomainError, match="16 to 1000 digits"):
+        choose_precision(10, 2, 0.05, digits=1001)
+    with pytest.raises(DomainError):
+        upper_bound(QueryInstance(10**6, 100, 10, Fraction(1, 10**995)), "stirling")
 
 
 def floating_gap(n, m, s, k, engine):
