@@ -2,22 +2,22 @@
 
 A safeguarded secant search over m with a verified bracket: the low
 endpoint's computed tail is at or above the failure budget, the high
-endpoint's below it.  Each step takes the secant of ln tail(m) - ln delta
-through the last two points and bisects instead when that leaves the
-bracket, meets a zero tail, or could overrun the ceil(log2 n) + 2
-evaluation budget; only a computed tail moves an endpoint.  Once the
-secant's next point lies within one standard deviation of K of the tail
-just evaluated, the last steps need no evaluation: the gap identity
-left(m) - left(m + 1) = p_m(k) (s - k) / (n - m) steps tails from that one,
-with one more pmf term, until they cross delta.  Seeds (the sample
-proportion for low, the relative-entropy form of Hoeffding's bound for
-high) are hints only; they enter the bracket solely after their tails
-check out.  Lower bounds come from the upper bound of the complemented
-condition, and every bound takes its digit count from the precision
-chooser, which keeps tail errors inside the tail gaps.  A floating tail
-sums outward from one anchor term, in integers, and stops each side on a
-bound of the mass it drops, relative to the anchor, so its error is
-relative to the tail; right tails are mirrored.
+endpoint's below it.  The bracket starts structural (tail 1 at m = 0, 0
+from m = n - (s - k) + 1 on); its first points are the seeds, the sample
+proportion and the relative-entropy form of Hoeffding's bound, each
+evaluated only while strictly inside it.  Then each step takes the secant
+of ln tail(m) - ln delta through the last two points, or bisects when that
+leaves the bracket, meets a zero tail, or could overrun the ceil(log2 n) + 2
+evaluation budget; every computed tail moves an endpoint.  Once the next
+point lies within one standard deviation of K of the tail just evaluated,
+the gap identity left(m) - left(m + 1) = p_m(k) (s - k) / (n - m) steps
+tails from that one, with one more pmf term, until they cross delta.  Lower
+bounds come from the upper bound of the complemented condition, and every
+bound takes its digit count from the precision chooser, which keeps tail
+errors inside the tail gaps.  A floating tail sums outward from one anchor
+term, in integers, and stops each side on a bound of the mass it drops,
+relative to the anchor, so its error is relative to the tail; right tails
+are mirrored.
 """
 
 from __future__ import annotations
@@ -85,12 +85,12 @@ def left_tail(n: int, m: int, s: int, k: int, engine: Union[TailEngine, str],
     check_tail_domain(n, m, s)
     if engine is TailEngine.EXACT:
         return exact.left_tail_exact(n, m, s, k)
-    # A term at the walk's cut, target/20 of the anchor, must still move the sum.
+    # Besides the walk's error, far below 10^-digits of the tail, the target must
+    # hold the anchor's last-place error and the final rounding: 20 units of 10^-digits.
     if Decimal(20).scaleb(-ctx.digits) > ctx.abs_error_target:
         raise PrecisionInfeasibleError(
-            f"{ctx.digits} digits cannot resolve terms at {ctx.abs_error_target}/20 "
-            f"of a tail sum; raise the digit count"
-        )
+            f"{ctx.digits} digits: the anchor's last-place error and the final rounding, "
+            f"20 units of 1E-{ctx.digits}, exceed the target {ctx.abs_error_target}; add digits")
     j_lo, j_hi = support(n, m, s)
     if k < j_lo:
         return _ZERO
@@ -185,7 +185,7 @@ def choose_precision(n: int, k: int, delta: Probability,
 
 
 def start_high(n: int, s: int, k: int, delta: Probability) -> int:
-    """Relative-entropy seed for the high endpoint, for k < s; the caller verifies its tail.
+    """Relative-entropy seed for the high endpoint, for k < s; upper_bound evaluates its tail.
 
     ceil(n p) for the root p > q = k/s of KL(q || p) = c = ln(1/delta) / s,
     where Hoeffding's (1963) bound exp(-s KL(q || p)) on the binomial left
@@ -218,7 +218,8 @@ def upper_bound(instance: QueryInstance, engine: Union[TailEngine, str] = "auto"
     delta > tail(m_hat + 1) as computed, against the exact rational delta.
     The digit count comes from choose_precision(n, k, delta, digits), so
     tail errors stay inside the consecutive-tail gaps and m_hat is within
-    one of the sharp bound.  A recorded tail is an evaluated one, or one
+    one of the sharp bound.  A recorded tail is an evaluated one, a
+    structural one (1 at m = 0, 0 from n - (s - k) + 1 on), or one
     gap-stepped from an evaluated one (see _gap_steps, which states what the
     steps add to its error); iterations counts the evaluations.
     """
@@ -233,46 +234,33 @@ def upper_bound(instance: QueryInstance, engine: Union[TailEngine, str] = "auto"
     # this solve's direct anchors, from which later ones are derived in
     # O(|m - m0|); it lives for this call only, so no request reuses another's
     anchors: dict = {}
-    # low seed: the sample proportion if its tail qualifies, else 0, whose
-    # tail is exactly 1 (the sample cannot contain a success)
-    lo, t_lo, evals = 0, one, 0
-    seed = (k * n) // s
-    if seed > 0:
-        t = left_tail(n, seed, s, k, eng, ctx, anchors=anchors)
-        evals += 1
-        if t >= delta:
-            lo, t_lo = seed, t
-    # first m whose tail is structurally zero: a valid high endpoint with no
-    # evaluation, taken whenever the relative-entropy seed reaches it
-    zero_m = n - (s - k) + 1
-    hi = start_high(n, s, k, delta)
-    if hi <= lo or hi >= zero_m:
-        hi, t_hi = zero_m, zero
-    else:
-        t_hi = left_tail(n, hi, s, k, eng, ctx, anchors=anchors)
-        evals += 1
-        if not t_hi < delta:
-            hi, t_hi = zero_m, zero
-
-    # secant on f(m) = ln tail(m) - ln delta through the last two points
-    # (first the bracket's ends); bisect when it leaves the bracket, meets a
-    # zero tail, has at most one m to choose from, or could not finish
-    # bisecting inside ceil(log2 n) + 2 evaluations
+    # the structural bracket: tail 1 at 0 (the sample cannot contain a
+    # success) and 0 from n - (s - k) + 1 on; its first points are the seeds,
+    # each evaluated only while strictly inside it
+    lo, t_lo, hi, t_hi = 0, one, n - (s - k) + 1, zero
+    seeds = iter(((k * n) // s, start_high(n, s, k, delta)))
+    # then the secant on f(m) = ln tail(m) - ln delta through the last two
+    # points (before the first evaluation, lo's); bisect when it leaves the
+    # bracket, meets a zero tail, or could not finish bisecting inside
+    # ceil(log2 n) + 2 evaluations
     budget = (n - 1).bit_length() + 2
     ln_delta = _ln(delta)
     # the most gap steps N whose 3N + 2 half-units of 10^(1 - digits), as
     # _gap_steps charges them, stay under target / 20
     room = (int(ctx.abs_error_target.scaleb(ctx.digits - 2)) - 2) // 3
-    a, t_a, b, t_b = lo, t_lo, hi, t_hi
-    evaluated = False  # whether b is a tail just evaluated, not a seed or a step
+    a, t_a, b, t_b = hi, t_hi, lo, t_lo
+    # evaluated: whether b is a tail just evaluated, not structural or a step
+    evals, evaluated = 0, False
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if hi - lo > 2 and t_a and t_b and evals + (hi - lo - 1).bit_length() < budget:
-            f_a, f_b = _ln(t_a) - ln_delta, _ln(t_b) - ln_delta
-            if f_a != f_b:
-                x = b - f_b * (b - a) / (f_b - f_a)
-                if lo - 1 <= x <= hi + 1:
-                    mid = min(max(math.floor(x), lo + 1), hi - 1)
+        mid = next((m for m in seeds if lo < m < hi), None)
+        if mid is None:
+            mid = (lo + hi) // 2
+            if t_a and t_b and evals + (hi - lo - 1).bit_length() < budget:
+                f_a, f_b = _ln(t_a) - ln_delta, _ln(t_b) - ln_delta
+                if f_a != f_b:
+                    x = b - f_b * (b - a) / (f_b - f_a)
+                    if lo - 1 <= x <= hi + 1:
+                        mid = min(max(math.floor(x), lo + 1), hi - 1)
         if evaluated and b >= k:
             cap = min(_step_cap(n, s, b), room)
             if abs(mid - b) <= cap:

@@ -45,7 +45,7 @@ FLAGSHIP_LOWER = 899_843_820_749
 # At exact ties (the exact tail at the sharp m equals delta) the computed tail's
 # side of delta rests on its last digits, so a new stopping rule or rounding
 # can move those bounds by one.
-SWEEP_DIGEST = "7d066d1d953b1b433ed459ee0f0c8bf484b0c28b3b6049520dee7c67ec270ba3"
+SWEEP_DIGEST = "ea1d9575dee5566ad1a957c566396848df7a4fc2ba32ab612a7bf6c9e8edcc28"
 
 
 def _reproduce_flagship(engine: TailEngine) -> None:
@@ -67,8 +67,8 @@ def test_criterion_1_paper_reproduction_stirling():
 @acceptance
 @pytest.mark.slow
 def test_criterion_1_paper_reproduction_direct():
-    # 35-39 s for both sides on a 2-vCPU VM: 12 of its 19 anchors are full,
-    # O(s) each; the other 7 are derived from an earlier one in O(|delta m|)
+    # about 24 s for both sides on a 2-vCPU VM: 10 of its 16 anchors are full,
+    # O(s) each; the other 6 are derived from an earlier one in O(|delta m|)
     _reproduce_flagship(TailEngine.DIRECT)
 
 

@@ -243,6 +243,24 @@ def test_bound_json_schema_keys_are_stable(capsys):
         ]
 
 
+@pytest.mark.parametrize("text, names", [
+    ("1000 x 0.1\na 7\n", ("line 1", "header must be")),
+    ("100 200 0.1\na 7\n", ("line 1", "header values out of range")),
+    ("1000 100 0.1\na seven\n", ("line 2", "k must be an integer")),
+    ("1000 100 0.1\na 101\n", ("line 2", "k=101 outside")),
+    ("# a comment only\n\n", ("no header line",)),
+    ("1000 100 0.1\n# no condition follows\n", ("no conditions",)),
+])
+def test_bad_batch_from_stdin_exits_2_and_names_it(capsys, monkeypatch, text, names):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, "batch", "-")
+    assert code == 2
+    assert out == ""
+    assert all(name in err for name in names), err
+
+
 def test_batch_file_parsing():
     from fractions import Fraction
 
@@ -288,6 +306,14 @@ def test_coverage_json_reproducible(capsys):
     code, second, _ = run_cli(capsys, *args)
     assert first == second
     check_golden("coverage_200.json", first)
+    report = json.loads(first)
+    code, text, _ = run_cli(capsys, *args[:-2])
+    assert code == 0
+    assert text == (f"trials=60 seed=1\n"
+                    f"upper: failures={report['upper_failures']} "
+                    f"rate={report['empirical_upper_rate']}\n"
+                    f"lower: failures={report['lower_failures']} "
+                    f"rate={report['empirical_lower_rate']}\n")
 
 
 def test_coverage_zero_trials_exits_2(capsys):
@@ -349,6 +375,7 @@ def _bad_inputs():
     (argparse names the flag; the library gives name=value or the text it rejected)."""
     delta_ok = ("--delta", "0.05")
     yield ("bound", "--n", "0", "--s", "5", "--k", "2", *delta_ok), ("--n", "n=0")
+    yield ("bound", "--n", "abc", "--s", "5", "--k", "2", *delta_ok), ("--n", "'abc'")
     yield ("bound", "--n", "10", "--s", "0", "--k", "0", *delta_ok), ("--s", "s=0")
     for delta in ("0", "1", "1.5", "-0.1", "abc", "nan"):
         for sides in (("--sides", "both"), ("--sides", "upper"), ("--sides", "lower"),

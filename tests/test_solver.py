@@ -308,15 +308,17 @@ def test_start_low_uses_sample_proportion_when_it_qualifies(monkeypatch):
 
 def test_start_low_falls_back_to_zero(monkeypatch):
     calls = record_tail_calls(monkeypatch)
-    # delta close to 1 disqualifies the proportion seed
+    # delta close to 1 disqualifies the proportion seed: its tail makes 8 the
+    # high endpoint, the low one stays 0, and the relative-entropy seed, past 8,
+    # lies outside the bracket and is never evaluated
     big_delta = Fraction(99, 100)
     assert left_tail_exact(20, 8, 5, 2) < big_delta
+    assert start_high(20, 5, 2, big_delta) > 8
     inst = QueryInstance(20, 5, 2, big_delta)
     r = upper_bound(inst, TailEngine.EXACT)
-    # the seed, then the high seed; the low endpoint 0 is never evaluated
     ms = [m for m, _ in calls]
-    assert ms[:2] == [8, start_high(20, 5, 2, big_delta)]
-    assert 0 not in ms
+    assert ms[0] == 8
+    assert 0 < min(ms) and max(ms[1:]) < 8
     assert r.m_hat == sharp_upper(inst) < 8
     assert_certificate_computed(calls, inst, r)
     # k = 0 seeds at zero without any evaluation: the first tail is the high seed
@@ -327,6 +329,50 @@ def test_start_low_falls_back_to_zero(monkeypatch):
     assert ms[0] == start_high(20, 5, 0, Fraction(1, 20))
     assert 0 not in ms
     assert_certificate_computed(calls, inst, r)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_every_evaluation_moves_an_endpoint(monkeypatch, engine):
+    """Each evaluated m, seeds included, lies strictly inside the bracket of
+    its moment and becomes lo or hi, so none is evaluated twice: the brackets
+    gap steps start from, and the result's, are those the evaluations made."""
+    events = []
+    real_tail, real_steps = solver.left_tail, solver._gap_steps
+
+    def tail(n, m, s, k, engine, ctx, **kwargs):
+        t = real_tail(n, m, s, k, engine, ctx, **kwargs)
+        events.append((m, t))
+        return t
+
+    def steps(n, s, k, lo, t_lo, hi, t_hi, *rest):
+        bracket = real_steps(n, s, k, lo, t_lo, hi, t_hi, *rest)
+        events.append(((lo, t_lo, hi, t_hi), bracket))
+        return bracket
+
+    monkeypatch.setattr(solver, "left_tail", tail)
+    monkeypatch.setattr(solver, "_gap_steps", steps)
+    rng = random.Random(113)
+    deltas = (Fraction(1, 2), Fraction(1, 20), Fraction(1, 10**6), Fraction(99, 100))
+    for _ in range(300):
+        n = rng.randrange(2, 400)
+        s = rng.randrange(1, n + 1)
+        inst = QueryInstance(n, s, rng.randrange(s), rng.choice(deltas))
+        events.clear()
+        r = upper_bound(inst, engine)
+        lo, t_lo, hi, t_hi = 0, 1, n - (s - inst.k) + 1, 0
+        evaluated = set()
+        for event in events:
+            if isinstance(event[0], int):
+                m, t = event
+                assert lo < m < hi and m not in evaluated, (inst, m)
+                evaluated.add(m)
+                lo, t_lo, hi, t_hi = (m, t, hi, t_hi) if t >= inst.delta else (lo, t_lo, m, t)
+            else:
+                assert event[0] == (lo, t_lo, hi, t_hi), inst
+                lo, t_lo, hi, t_hi = event[1]
+        assert (r.m_hat, r.tail_at_m_hat, r.m_hat + 1, r.tail_at_m_hat_plus_1) == (
+            lo, t_lo, hi, t_hi), inst
+        assert r.iterations == len(evaluated)
 
 
 def test_structurally_zero_high_seed_is_not_evaluated(monkeypatch):
@@ -734,6 +780,9 @@ def test_choose_precision_invariants():
         choose_precision(10, 2, 0.05, digits=1001)
     with pytest.raises(DomainError):
         upper_bound(QueryInstance(10**6, 100, 10, Fraction(1, 10**995)), "stirling")
+    for target in (Decimal(0), Decimal("-1e-20")):
+        with pytest.raises(DomainError, match="abs_error_target must be positive"):
+            PrecisionContext(30, target)
 
 
 def floating_gap(n, m, s, k, engine):

@@ -1,13 +1,16 @@
 """Stirling engine: series accuracy, log recurrences, tail agreement."""
 
+import math
 import random
+import sys
+import threading
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
 from oracle import pmf_exact
-from sketchbound import DomainError, PrecisionContext, TailEngine, left_tail
+from sketchbound import DomainError, PrecisionContext, TailEngine, left_tail, stirling
 from sketchbound.direct import pmf_direct
 from sketchbound.exact import left_tail_exact
 from sketchbound.model import decimal_context
@@ -47,12 +50,37 @@ def test_log_factorial_across_the_cutoff():
 
 def test_log_factorial_series_grows_with_digits():
     # at 80 digits four correction terms leave 1/(1188 h^9) = 1e-17 at h = 40
-    import math
-
     for h in (39, 40, 41, 100, 2000):
         with localcontext(decimal_context(100)):
             expect = Decimal(math.factorial(h)).ln()
             assert abs(log_factorial(h, 80) - expect) < Decimal("1e-72"), h
+
+
+def test_bernoulli_numbers_match_the_recurrence(monkeypatch):
+    # B_2i from the tangent numbers equals the Fraction recurrence
+    # sum_{j <= r} C(r + 1, j) B_j = 0, which also makes every odd B_r past B_1 zero
+    b = [Fraction(1)]
+    for r in range(1, 301):
+        b.append(-sum(math.comb(r + 1, j) * x for j, x in enumerate(b)) / (r + 1))
+    assert not any(b[3::2])
+    # from an empty memo, threads extending it at once still fill it in order
+    monkeypatch.setattr(stirling, "_bernoulli_memo", [])
+    monkeypatch.setattr(stirling, "_bernoulli_row", [1])
+    got = {}
+    threads = [threading.Thread(target=lambda i=i: got.update({i: stirling._bernoulli(i)}))
+               for i in range(150, 0, -10)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == {i: b[2 * i] for i in range(150, 0, -10)}
+    assert stirling._bernoulli_memo == b[2::2]
 
 
 def test_log_factorial_negative_rejected():
