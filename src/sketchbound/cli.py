@@ -150,8 +150,12 @@ def _parse_batch(lines: list[str]) -> tuple[int, int, Fraction, tuple[tuple[str,
                 delta = as_fraction(fields[2])
             except (ValueError, DomainError):
                 raise DomainError(f"line {lineno}: header must be 'n s delta'") from None
-            if not (1 <= s <= n <= MAX_COUNT) or not 0 < delta < 1:
-                raise DomainError(f"line {lineno}: header values out of range")
+            try:
+                QueryInstance(n, s, 0, delta)
+            except DomainError as err:
+                raise DomainError(f"line {lineno}: {err}") from None
+            if n > MAX_COUNT:
+                raise DomainError(f"line {lineno}: count out of range [0, 10^18]: n={n}")
             header = (n, s, delta)
             continue
         if len(fields) != 2:

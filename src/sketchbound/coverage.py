@@ -1,14 +1,15 @@
 """Empirical check of the bound-failure guarantee.
 
 Draws without-replacement samples from a synthetic population with a known
-success count and reports how often each one-sided bound fails.  A trial's
-draw is the u-quantile of hypergeometric(n, m, s), u the top 53 bits of a
-blake2b hash of (seed, trial index), so results do not depend on
-scheduling.  Quantiles come from a CDF table per (n, m, s), summed from
-exact.run's integer terms and divided into floats once; a run's uniforms are
-sorted once and cut at the table's entries.  By log-concavity each side of
-the table stops at the first term t, reached by ratio r, where t/(1-r), a
-bound on the mass it drops, is below 2^-60 of the mode term.
+success count and reports how often each one-sided bound fails.  Trial i's
+draw is the u-quantile of hypergeometric(n, m, s), u the top 53 bits of the
+i-th big-endian 64-bit word of the SHAKE-256 stream of f"{seed}:", so results
+do not depend on scheduling and a run of N trials is the first N of any longer
+run.  Quantiles come from a CDF table per (n, m, s), summed from exact.run's
+integer terms and divided into floats once; a run's uniforms are sorted once
+and cut at the table's entries.  By log-concavity each side of the table
+stops at the first term t, reached by ratio r, where t/(1-r), a bound on the
+mass it drops, is below 2^-60 of the mode term.
 
 Bounds depend on a draw only through k, and a larger k has a larger left tail
 at every m, so U(k) and L(k) = n - U(s - k) are nondecreasing in k: each side's
@@ -20,6 +21,7 @@ prediction is right; the counts rest on the solves alone.
 from __future__ import annotations
 
 import hashlib
+import struct
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -44,12 +46,10 @@ class CoverageReport:
 
 
 def _trial_uniforms(seed: int, trials: int) -> Iterator[float]:
-    # trial i's digest is blake2b(f"{seed}:{i}"), continued from a copy of the seed's state
-    prefix = hashlib.blake2b(f"{seed}:".encode(), digest_size=8)
-    for index in range(trials):
-        h = prefix.copy()
-        h.update(b"%d" % index)
-        yield (int.from_bytes(h.digest(), "big") >> 11) * 2.0 ** -53
+    # trial i's uniform is the top 53 bits of word i of the seed's SHAKE-256 stream
+    stream = hashlib.shake_256(f"{seed}:".encode()).digest(8 * trials)
+    for (word,) in struct.iter_unpack(">Q", stream):
+        yield (word >> 11) * 2.0 ** -53
 
 
 @lru_cache(maxsize=16)

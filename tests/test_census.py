@@ -1,0 +1,54 @@
+"""The evaluation census on a subset, and the within-one audit past the sweep."""
+
+import math
+import random
+
+from census import DELTAS, draw_k, instances, ladder, solves, summary
+from oracle import right_exact
+from sketchbound import QueryInstance, TailEngine, lower_bound, upper_bound
+from sketchbound.exact import left_tail_exact
+
+
+def test_census_subset_stays_within_its_evaluation_counts():
+    # the first 150 census instances, both sides, and the ladder rows: 308 solves
+    stats = summary(solves(instances(7, 150), ladder()))
+    assert stats["solves"] == 308
+    assert stats["over_budget"] == 0
+    # the subset's figures with the relative-entropy seed; lower them as the search
+    # improves, never raise them
+    assert stats["p99"] <= 37
+    assert stats["max"] <= 40
+
+
+def audit_instances(seed: int, count: int) -> list[QueryInstance]:
+    """120 <= n <= 10^4, s half uniform and half log-uniform, k and delta as in the census."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        n = rng.randint(120, 10**4)
+        s = rng.randint(1, n) if i % 2 else max(1, int(10 ** rng.uniform(0, math.log10(n))))
+        out.append(QueryInstance(n, s, draw_k(rng, s), rng.choice(DELTAS)))
+    return out
+
+
+def test_floating_engines_within_one_of_sharp_past_the_sweep():
+    ties = 0
+    for inst in audit_instances(13, 400):
+        n, s, k, delta = inst.n, inst.s, inst.k, inst.delta
+        # the exact engine's bounds, checked sharp against exact tails on both sides
+        up = upper_bound(inst, TailEngine.EXACT).m_hat
+        tail = left_tail_exact(n, up, s, k)
+        assert tail >= delta and (up == n or left_tail_exact(n, up + 1, s, k) < delta), inst
+        up_tie = tail == delta
+        low = lower_bound(inst, TailEngine.EXACT).m_hat
+        tail = right_exact(n, low, s, k)
+        assert tail >= delta and (low == 0 or right_exact(n, low - 1, s, k) < delta), inst
+        low_tie = tail == delta
+        ties += up_tie + low_tie
+        for engine in (TailEngine.DIRECT, TailEngine.STIRLING):
+            # off by one only inward of the sharp m, at an exact tie
+            got = upper_bound(inst, engine).m_hat
+            assert got == up or (got == up - 1 and up_tie), (inst, engine, got, up)
+            got = lower_bound(inst, engine).m_hat
+            assert got == low or (got == low + 1 and low_tie), (inst, engine, got, low)
+    assert ties > 0

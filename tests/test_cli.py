@@ -245,11 +245,13 @@ def test_bound_json_schema_keys_are_stable(capsys):
 
 @pytest.mark.parametrize("text, names", [
     ("1000 x 0.1\na 7\n", ("line 1", "header must be")),
-    ("100 200 0.1\na 7\n", ("line 1", "header values out of range")),
+    ("100 200 0.1\na 7\n", ("line 1", "s=200", "n=100")),
     ("1000 100 0.1\na seven\n", ("line 2", "k must be an integer")),
     ("1000 100 0.1\na 101\n", ("line 2", "k=101 outside")),
     ("# a comment only\n\n", ("no header line",)),
     ("1000 100 0.1\n# no condition follows\n", ("no conditions",)),
+    ("100 10 1.5\na 7\n", ("line 1", "delta", "3/2")),
+    (f"{10**18 + 1} 10 0.1\na 7\n", ("line 1", f"n={10**18 + 1}")),
 ])
 def test_bad_batch_from_stdin_exits_2_and_names_it(capsys, monkeypatch, text, names):
     import io

@@ -20,8 +20,9 @@ LAST_UNIFORM = 1 - 2.0 ** -53
 
 
 def uniform(seed, index):
-    digest = hashlib.blake2b(f"{seed}:{index}".encode(), digest_size=8).digest()
-    return (int.from_bytes(digest, "big") >> 11) * 2.0 ** -53
+    """Trial index's uniform: the top 53 bits of word index of the seed's SHAKE-256 stream."""
+    word = hashlib.shake_256(f"{seed}:".encode()).digest(8 * index + 8)[8 * index:]
+    return (int.from_bytes(word, "big") >> 11) * 2.0 ** -53
 
 
 def quantile(n, m, s, u):
@@ -131,9 +132,20 @@ def test_sample_distribution_chi_square():
 
 
 def test_trial_stream_hashes_seed_and_index():
-    # 1001 trials cross the digit-count edges 9/10, 99/100 and 999/1000 of the index
     for seed in (0, -17, 2**64 + 1):
         assert list(_trial_uniforms(seed, 1001)) == [uniform(seed, i) for i in range(1001)]
+    assert list(_trial_uniforms(0, 2)) != list(_trial_uniforms(1, 2))
+
+
+def test_a_run_is_the_prefix_of_any_longer_run():
+    for seed in (0, -17, 2**64 + 1):
+        longest = list(_trial_uniforms(seed, 3000))
+        for trials in (1, 2, 7, 1000, 2999):
+            assert list(_trial_uniforms(seed, trials)) == longest[:trials]
+    # so a longer run's counts include the shorter run's
+    short = sample_successes(300, 90, 40, _trial_uniforms(42, 500))
+    long = sample_successes(300, 90, 40, _trial_uniforms(42, 2000))
+    assert not short - long and sum(short.values()) == 500
 
 
 def reference_coverage(n, m, s, delta, trials, seed, engine):
