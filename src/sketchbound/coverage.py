@@ -46,7 +46,6 @@ class CoverageReport:
 
 
 def _trial_uniforms(seed: int, trials: int) -> Iterator[float]:
-    # trial i's uniform is the top 53 bits of word i of the seed's SHAKE-256 stream
     stream = hashlib.shake_256(f"{seed}:".encode()).digest(8 * trials)
     for (word,) in struct.iter_unpack(">Q", stream):
         yield (word >> 11) * 2.0 ** -53

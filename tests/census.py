@@ -1,7 +1,7 @@
 """Evaluation census: how many tail evaluations a bound solve takes, across regimes.
 
 The ladder of the benchmark is the benign case; this census covers the rest.
-`random.Random(seed)` (seed 7 by default) draws `count` instances (1,500):
+`random.Random(7)` draws 1,500 instances:
 
 - n = int(10**U(2, 12));
 - s = max(1, min(n, int(10**U(0, min(5, log10 n)))));
@@ -11,14 +11,14 @@ The ladder of the benchmark is the benign case; this census covers the rest.
 
 Both sides of each instance are solved, then eight ladder-shaped upper bounds
 at delta = 1/20: (n, s) in (1e6, 1e4), (1e9, 1e5), (1e12, 1e6), (1e12, 1e7)
-with k = 0.9 s and k = 100.  The default census is 3,008 solves on Stirling.
+with k = 0.9 s and k = 100.  The census is 3,008 solves on Stirling.
 
 It prints the mean, p50, p90, p99, max and total of `BoundResult.iterations`,
 and how many solves end within two of criterion 8's budget ceil(log2 n) + 2.
 Evaluation counts do not depend on the machine, so the census is a perf
 metric free of timing noise.
 
-    PYTHONPATH=src python tests/census.py [--seed 7] [--count 1500] [--engine stirling]
+    PYTHONPATH=src python tests/census.py [--engine direct]
 """
 
 from __future__ import annotations
@@ -103,14 +103,12 @@ def summary(rows: list[tuple[QueryInstance, str, int]]) -> dict[str, float]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--count", type=int, default=1500)
     parser.add_argument("--engine", choices=("stirling", "direct"), default="stirling")
     args = parser.parse_args(argv)
     start = time.perf_counter()
-    rows = solves(instances(args.seed, args.count), ladder(), args.engine)
+    rows = solves(instances(), ladder(), args.engine)
     stats = summary(rows)
-    print(f"census seed={args.seed} count={args.count} engine={args.engine}: "
+    print(f"census engine={args.engine}: "
           f"{stats['solves']} solves in {time.perf_counter() - start:.1f} s")
     print(f"evaluations per solve: mean {stats['mean']:.2f}, p50 {stats['p50']}, "
           f"p90 {stats['p90']}, p99 {stats['p99']}, max {stats['max']}, total {stats['total']}")
