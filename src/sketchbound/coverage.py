@@ -5,11 +5,14 @@ success count and reports how often each one-sided bound fails.  Trial i's
 draw is the u-quantile of hypergeometric(n, m, s), u the top 53 bits of the
 i-th big-endian 64-bit word of the SHAKE-256 stream of f"{seed}:", so results
 do not depend on scheduling and a run of N trials is the first N of any longer
-run.  Quantiles come from a CDF table per (n, m, s), summed from exact.run's
-integer terms and divided into floats once; a run's uniforms are sorted once
-and cut at the table's entries.  By log-concavity each side of the table
-stops at the first term t, reached by ratio r, where t/(1-r), a bound on the
-mass it drops, is below 2^-60 of the mode term.
+run; seed and trials are checked as integers.  Quantiles come from a CDF table
+per (n, m, s), summed from exact.run's integer terms and divided into floats
+once, each entry c also kept as the integer cut ceil(c 2^53) 2^11: a word's
+uniform is below c exactly when the word is below that cut, so a run's words
+are counted by one bisection of the cuts each, never converted or sorted.  By
+log-concavity each side of the table stops at the first term t, reached by
+ratio r, where t/(1-r), a bound on the mass it drops, is below 2^-60 of the
+mode term.
 
 Bounds depend on a draw only through k, and a larger k has a larger left tail
 at every m, so U(k) and L(k) = n - U(s - k) are nondecreasing in k: each side's
@@ -21,13 +24,14 @@ prediction is right; the counts rest on the solves alone.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterable, Union
 
 from .exact import run
 from .model import (DomainError, QueryInstance, TailEngine, as_count, check_tail_domain,
@@ -45,15 +49,15 @@ class CoverageReport:
     seed: int
 
 
-def _trial_uniforms(seed: int, trials: int) -> Iterator[float]:
+def _trial_words(seed: int, trials: int) -> tuple[int, ...]:
     stream = hashlib.shake_256(f"{seed}:".encode()).digest(8 * trials)
-    for (word,) in struct.iter_unpack(">Q", stream):
-        yield (word >> 11) * 2.0 ** -53
+    return struct.unpack(f">{trials}Q", stream)
 
 
 @lru_cache(maxsize=16)
-def _cdf_table(n: int, m: int, s: int) -> tuple[int, tuple[float, ...]]:
-    """(first index, CDF) of hypergeometric(n, m, s); O(sd) floats, about 18k at the flagship."""
+def _cdf_table(n: int, m: int, s: int) -> tuple[int, tuple[float, ...], tuple[int, ...]]:
+    """(first index, CDF, word cuts) of hypergeometric(n, m, s); O(sd) entries, about 18k
+    at the flagship."""
     check_tail_domain(n, m, s)
     lo, hi = support(n, m, s)
     mode = (s + 1) * (m + 1) // (n + 2)
@@ -62,29 +66,24 @@ def _cdf_table(n: int, m: int, s: int) -> tuple[int, tuple[float, ...]]:
     one = 1 << (64 + 2 * s.bit_length())
     up = run(n, m, s, mode, hi, one, one >> 60)
     down = run(n, n - m, s, s - mode, s - lo, one, one >> 60)
-    cdf = list(accumulate(down[::-1] + [one] + up))
-    return mode - len(down), tuple(c / cdf[-1] for c in cdf)
+    sums = list(accumulate(down[::-1] + [one] + up))
+    cdf = tuple(c / sums[-1] for c in sums)
+    cuts = tuple(math.ceil(c * 2.0 ** 53) << 11 for c in cdf)
+    return mode - len(down), cdf, cuts
 
 
-def sample_successes(n: int, m: int, s: int, uniforms: Iterable[float]) -> Counter[int]:
-    """Counts of the u-quantiles of hypergeometric(n, m, s), for each u in [0, 1).
+def sample_successes(n: int, m: int, s: int, words: Iterable[int]) -> Counter[int]:
+    """Counts of the quantiles of hypergeometric(n, m, s) at each 64-bit word's uniform.
 
-    With u uniform a quantile is the success count of a uniform
-    without-replacement sample of s from n items of which m are successes.
-    K <= first + i exactly when u < cdf[i], so the sorted uniforms are cut at
-    the table's entries: one pair of bisections per distinct quantile.
+    Word w stands for u = (w >> 11) 2^-53 in [0, 1); with u uniform a quantile
+    is the success count of a uniform without-replacement sample of s from n
+    items of which m are successes.  K <= first + i exactly when u < cdf[i],
+    that is when w < cuts[i], so a word's quantile is first plus the number of
+    cuts at or below it: one bisection of the integer cuts per word.
     """
-    first, cdf = _cdf_table(n, m, s)
-    us = sorted(uniforms)
-    last = len(cdf) - 1
-    draws: Counter[int] = Counter()
-    below = 0
-    while below < len(us):
-        i = min(bisect_right(cdf, us[below]), last)  # the quantile of the smallest u left
-        upto = bisect_left(us, cdf[i], below) if i < last else len(us)
-        draws[first + i] = upto - below
-        below = upto
-    return draws
+    first, _, cuts = _cdf_table(n, m, s)
+    counts = Counter(map(partial(bisect_right, cuts), words))
+    return Counter({first + i: count for i, count in counts.items()})
 
 
 def _first_holding(observed: list[int], guess: int, holds: Callable[[int], bool]) -> int:
@@ -118,13 +117,13 @@ def coverage_run(n: int, m: int, s: int, delta, trials: int, seed: int,
     count.  Every bound is solved at the digit count it chooses itself.
     """
     n, m, s = as_count("n", n), as_count("m", m), as_count("s", s)
-    trials = as_count("trials", trials)
+    trials, seed = as_count("trials", trials), as_count("seed", seed)
     if trials < 1:
         raise DomainError(f"need at least one trial, got {trials}")
     d = QueryInstance(n, s, 0, delta).delta  # checks n, s and delta before any draw
-    draws = sample_successes(n, m, s, _trial_uniforms(seed, trials))
+    draws = sample_successes(n, m, s, _trial_words(seed, trials))
     observed = sorted(draws)
-    first, cdf = _cdf_table(n, m, s)
+    first, cdf, _ = _cdf_table(n, m, s)
     # first observed k whose upper bound reaches m, first whose lower bound exceeds it
     up = _first_holding(observed, first + bisect_left(cdf, d), lambda k: (
         upper_bound(QueryInstance(n, s, k, d), engine).m_hat >= m))

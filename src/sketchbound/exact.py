@@ -6,11 +6,18 @@ reaches them with engine "exact", after checking the arguments and the size
 guard below; `left_tail_exact` itself checks neither.  Right tails are the
 solver's mirrored left tails, as for every engine.
 
-A tail numerator sums C(m, i) * C(n-m, s-i) over whichever side of k has
-fewer support points; the other side follows from Vandermonde's identity,
-the full sum being C(n, s).  A run of terms takes one pair of `math.comb`
-calls for its first term and `run`, the package's one term walker, for the
-rest, exactly: every tail is the same rational as the literal sum.
+Tails and the pmf are evaluated in the orientation whose sample is the
+least of m, n - m, s and n - s: K's law is symmetric in m and s, and s - K
+and m - K are hypergeometric(n, n - m, s) and (n, m, n - s), so
+left(n, m, s, k) = left(n, s, m, k) = 1 - left(n, n - m, s, s - k - 1)
+= 1 - left(n, m, n - s, m - k - 1).  There the support is 0..s and the
+integers are those of C(n, s) at the least s, a few hundred bits where the
+caller's orientation can take thousands.  A tail numerator sums
+C(m, i) * C(n-m, s-i) over whichever side of k has fewer support points; the
+other side follows from Vandermonde's identity, the full sum being C(n, s).
+A run of terms takes one pair of `math.comb` calls for its first term and
+`run`, the package's one term walker, for the rest, exactly: every tail is
+the same rational as the literal sum in the caller's orientation.
 """
 
 from __future__ import annotations
@@ -31,7 +38,8 @@ def check_limit(n: int) -> None:
                                "use the direct or stirling engine")
 
 
-# every tail of a solve shares C(n, s), as costly as a short tail near the guard
+# C(n, s) at the oriented s, shared by the tails of a solve whose least margin is
+# the sample: as costly as a short tail near the guard
 @lru_cache(maxsize=32)
 def _total(n: int, s: int) -> int:
     return math.comb(n, s)
@@ -64,23 +72,49 @@ def _run_sum(n: int, m: int, s: int, a: int, b: int) -> int:
     return t + sum(run(n, m, s, a, b, t, 0))
 
 
+def _orient(n: int, m: int, s: int) -> tuple[int, int, int | None]:
+    """(m', s', c): K is distributed as K' of hypergeometric(n, m', s'), or as c - K'
+    when c is not None, with s' the least of m, n - m, s and n - s, so K' has support 0..s'.
+
+    The law is symmetric in m and s, and the failures in the sample (s - K) and the
+    successes left out of it (m - K) are hypergeometric(n, n - m, s) and (n, m, n - s).
+    """
+    least = min(m, n - m, s, n - s)
+    if least == s:
+        return m, s, None
+    if least == m:
+        return s, m, None
+    if least == n - s:
+        return m, n - s, m
+    return s, n - m, s
+
+
 def pmf_exact(n: int, m: int, s: int, j: int) -> Fraction:
     """P(K = j), exact, for j inside the support."""
+    m, s, c = _orient(n, m, s)
+    if c is not None:
+        j = c - j
     return Fraction(math.comb(m, j) * math.comb(n - m, s - j), _total(n, s))
 
 
 def left_tail_exact(n: int, m: int, s: int, k: int) -> Fraction:
     """P(K <= k), exact, for 0 <= m <= n, 1 <= s <= n and k >= 0.
 
-    Sums the side of k with fewer support points; the upper side is
-    subtracted from the full sum C(n, s).
+    Evaluated in the orientation of `_orient`, whose support is 0..s, as
+    P(K' <= k) or 1 - P(K' <= c - k - 1); sums the side of that point with
+    fewer support points, the upper side subtracted from the full sum C(n, s).
     """
     lo, hi = support(n, m, s)
     if k < lo:
         return Fraction(0)
     if k >= hi:
         return Fraction(1)
+    m, s, c = _orient(n, m, s)
     total = _total(n, s)
-    if k - lo < hi - k:
-        return Fraction(_run_sum(n, m, s, lo, k), total)
-    return Fraction(total - _run_sum(n, m, s, k + 1, hi), total)
+    if c is not None:  # P(K <= k) = P(K' >= c - k)
+        k = c - k - 1
+    if k < s - k:
+        below = _run_sum(n, m, s, 0, k)
+    else:
+        below = total - _run_sum(n, m, s, k + 1, s)
+    return Fraction(below if c is None else total - below, total)

@@ -11,7 +11,7 @@ import pytest
 
 from oracle import pmf_exact
 from sketchbound import DomainError, coverage, coverage_run, lower_bound, upper_bound
-from sketchbound.coverage import _cdf_table, _trial_uniforms, sample_successes
+from sketchbound.coverage import _cdf_table, _trial_words, sample_successes
 from sketchbound.model import QueryInstance, support
 
 # chi-square 0.999 quantiles by degrees of freedom, from standard tables
@@ -19,21 +19,42 @@ CHI2_999 = {4: 18.467, 5: 20.515, 6: 22.458, 7: 24.322, 8: 26.125, 9: 27.877, 10
 LAST_UNIFORM = 1 - 2.0 ** -53
 
 
+def stream_word(seed, index):
+    """Trial index's word: the index-th big-endian 64-bit word of the seed's SHAKE-256 stream."""
+    stream = hashlib.shake_256(f"{seed}:".encode()).digest(8 * index + 8)
+    return int.from_bytes(stream[8 * index:], "big")
+
+
+def word_uniform(word):
+    """The uniform a word stands for: its top 53 bits."""
+    return (word >> 11) * 2.0 ** -53
+
+
+def word(u):
+    """The first word whose uniform is u rounded down to a multiple of 2^-53, for u in [0, 1)."""
+    return math.floor(u * 2.0 ** 53) << 11
+
+
 def uniform(seed, index):
-    """Trial index's uniform: the top 53 bits of word index of the seed's SHAKE-256 stream."""
-    word = hashlib.shake_256(f"{seed}:".encode()).digest(8 * index + 8)[8 * index:]
-    return (int.from_bytes(word, "big") >> 11) * 2.0 ** -53
+    """Trial index's uniform."""
+    return word_uniform(stream_word(seed, index))
 
 
 def quantile(n, m, s, u):
     """The u-quantile by one bisection of the CDF table: K <= first + i exactly when u < cdf[i]."""
-    first, cdf = _cdf_table(n, m, s)
+    first, cdf, _ = _cdf_table(n, m, s)
     return first + min(bisect_right(cdf, u), len(cdf) - 1)
 
 
 def draw(n, m, s, u):
-    """The sampler's one draw from the single uniform u."""
-    draws = sample_successes(n, m, s, [u])
+    """The sampler's one draw from the single uniform u, a multiple of 2^-53."""
+    assert word_uniform(word(u)) == u
+    return draw_word(n, m, s, word(u))
+
+
+def draw_word(n, m, s, w):
+    """The sampler's one draw from the single word w."""
+    draws = sample_successes(n, m, s, [w])
     assert list(draws.values()) == [1]
     return next(iter(draws))
 
@@ -43,18 +64,19 @@ def test_sample_degenerate_populations():
         assert draw(50, 50, 12, u) == 12
         assert draw(50, 0, 12, u) == 0
         assert draw(1, 1, 1, u) == 1
-    assert sample_successes(50, 50, 12, [0.0, 0.5, LAST_UNIFORM]) == Counter({12: 3})
+    assert sample_successes(50, 50, 12, map(word, [0.0, 0.5, LAST_UNIFORM])) == Counter({12: 3})
 
 
 def test_sample_rejects_bad_domains():
     with pytest.raises(DomainError):
-        sample_successes(10, 11, 4, [0.5])
+        sample_successes(10, 11, 4, [word(0.5)])
     with pytest.raises(DomainError):
-        sample_successes(10, 5, 0, [0.5])
+        sample_successes(10, 5, 0, [word(0.5)])
 
 
 def test_sample_is_the_exact_quantile_function():
-    # u at the midpoint of [F(j-1), F(j)) maps to j, F from the exact pmf
+    # u at the midpoint of [F(j-1), F(j)), rounded down to a word's uniform, maps to j,
+    # F from the exact pmf; at n <= 25 every step of F is far wider than 2^-53
     for n in range(1, 26):
         for m in range(n + 1):
             for s in range(1, n + 1):
@@ -62,32 +84,54 @@ def test_sample_is_the_exact_quantile_function():
                 below = Fraction(0)
                 for j in range(lo, hi + 1):
                     upto = below + pmf_exact(n, m, s, j)
-                    assert draw(n, m, s, float((below + upto) / 2)) == j, (n, m, s)
+                    u = word_uniform(word(float((below + upto) / 2)))
+                    assert draw(n, m, s, u) == j, (n, m, s)
                     below = upto
                 assert draw(n, m, s, 0.0) == lo
                 assert draw(n, m, s, LAST_UNIFORM) == hi
 
 
+CASES = [(n, m, s) for n in (1, 2, 7, 40) for m in range(n + 1) for s in range(1, n + 1)]
+CASES += [(2500, 500, 150), (9000, 36, 600), (10**6, 3 * 10**5, 10**4),
+          (10**12, 9 * 10**11, 10**6)]
+
+
 def test_sample_counts_every_uniform_at_its_quantile():
-    # every cut value exactly, the float just below it, 0, the last uniform, duplicates
+    # the words of every cut value and of the float just below it, each rounded down to a
+    # word's uniform, 0, the last uniform, duplicates; the float quantile is the reference
     rng = random.Random(5)
-    cases = [(n, m, s) for n in (1, 2, 7, 40) for m in range(n + 1) for s in range(1, n + 1)]
-    cases += [(2500, 500, 150), (9000, 36, 600), (10**6, 3 * 10**5, 10**4),
-              (10**12, 9 * 10**11, 10**6)]
-    for n, m, s in cases:
+    for n, m, s in CASES:
         cuts = [c for c in _cdf_table(n, m, s)[1] if c < 1]
         uniforms = cuts + cuts + [math.nextafter(c, 0) for c in cuts]
         uniforms += [0.0, 0.0, LAST_UNIFORM, LAST_UNIFORM] + [rng.random() for _ in range(50)]
         rng.shuffle(uniforms)
-        draws = sample_successes(n, m, s, iter(uniforms))
-        assert draws == Counter(quantile(n, m, s, u) for u in uniforms), (n, m, s)
-        assert sum(draws.values()) == len(uniforms) and min(draws.values()) > 0
+        words = [word(u) for u in uniforms]
+        draws = sample_successes(n, m, s, iter(words))
+        assert draws == Counter(quantile(n, m, s, word_uniform(w)) for w in words), (n, m, s)
+        assert sum(draws.values()) == len(words) and min(draws.values()) > 0
     assert sample_successes(40, 15, 10, []) == Counter()
+
+
+def test_words_at_each_cut_land_on_the_side_of_their_uniform():
+    # at entry c the cut is ceil(c 2^53) << 11: the word just below it has a uniform below c,
+    # so K <= first + i, and the cut itself, when it is a word (c < 1), one at or above c
+    for n, m, s in CASES:
+        first, cdf, _ = _cdf_table(n, m, s)
+        for i, c in enumerate(cdf):
+            cut = math.ceil(Fraction(c) * 2**53) << 11
+            below = cut - 1
+            assert word_uniform(below) < c
+            assert draw_word(n, m, s, below) == quantile(n, m, s, word_uniform(below)) <= first + i
+            if cut < 2**64:
+                assert word_uniform(cut) >= c
+                assert draw_word(n, m, s, cut) == quantile(n, m, s, word_uniform(cut)) > first + i
+            else:
+                assert c == 1  # the table's last entry, and any rounded up to it
 
 
 def test_flagship_table_is_bounded_and_centred():
     n, m, s = 10**12, 9 * 10**11, 10**7
-    first, cdf = _cdf_table(n, m, s)
+    first, cdf, _ = _cdf_table(n, m, s)
     sd = math.sqrt(s * (m / n) * (1 - m / n) * (n - s) / (n - 1))
     # a cut at 2^-60 of the mode term keeps about 9.6 sd on each side of it
     assert len(cdf) < 20 * sd
@@ -99,7 +143,7 @@ def test_flagship_table_is_bounded_and_centred():
 
 def test_sample_mean_matches_hypergeometric():
     n, m, s, trials = 100, 30, 20, 100_000
-    draws = sample_successes(n, m, s, _trial_uniforms(99, trials))
+    draws = sample_successes(n, m, s, _trial_words(99, trials))
     total = sum(k * count for k, count in draws.items())
     mean = total / trials
     # Var(K) = s m/n (1-m/n) (n-s)/(n-1); three sigma of the trial mean
@@ -110,7 +154,7 @@ def test_sample_mean_matches_hypergeometric():
 
 def test_sample_distribution_chi_square():
     n, m, s, trials = 40, 15, 10, 100_000
-    draws = sample_successes(n, m, s, _trial_uniforms(7, trials))
+    draws = sample_successes(n, m, s, _trial_words(7, trials))
     counts = [draws[j] for j in range(s + 1)]
     expected = [float(pmf_exact(n, m, s, j)) * trials for j in range(s + 1)]
     # merge sparse cells into their inner neighbor so every expected count >= 5
@@ -133,18 +177,18 @@ def test_sample_distribution_chi_square():
 
 def test_trial_stream_hashes_seed_and_index():
     for seed in (0, -17, 2**64 + 1):
-        assert list(_trial_uniforms(seed, 1001)) == [uniform(seed, i) for i in range(1001)]
-    assert list(_trial_uniforms(0, 2)) != list(_trial_uniforms(1, 2))
+        assert _trial_words(seed, 1001) == tuple(stream_word(seed, i) for i in range(1001))
+    assert _trial_words(0, 2) != _trial_words(1, 2)
 
 
 def test_a_run_is_the_prefix_of_any_longer_run():
     for seed in (0, -17, 2**64 + 1):
-        longest = list(_trial_uniforms(seed, 3000))
+        longest = _trial_words(seed, 3000)
         for trials in (1, 2, 7, 1000, 2999):
-            assert list(_trial_uniforms(seed, trials)) == longest[:trials]
+            assert _trial_words(seed, trials) == longest[:trials]
     # so a longer run's counts include the shorter run's
-    short = sample_successes(300, 90, 40, _trial_uniforms(42, 500))
-    long = sample_successes(300, 90, 40, _trial_uniforms(42, 2000))
+    short = sample_successes(300, 90, 40, _trial_words(42, 500))
+    long = sample_successes(300, 90, 40, _trial_words(42, 2000))
     assert not short - long and sum(short.values()) == 500
 
 
@@ -216,6 +260,15 @@ def test_single_trial_rates_are_binary():
     assert r.empirical_upper_rate in (0.0, 1.0)
     assert r.empirical_lower_rate in (0.0, 1.0)
     assert r.trials == 1
+
+
+def test_seed_is_checked_as_an_integer():
+    assert coverage_run(300, 90, 40, 0.1, 200, 1.0) == coverage_run(300, 90, 40, 0.1, 200, 1)
+    assert coverage_run(300, 90, 40, 0.1, 200, "7").seed == 7
+    with pytest.raises(DomainError):
+        coverage_run(300, 90, 40, 0.1, 200, "x")
+    with pytest.raises(DomainError):
+        coverage_run(300, 90, 40, 0.1, 200, 1.5)
 
 
 def test_zero_trials_rejected():

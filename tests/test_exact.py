@@ -7,11 +7,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from oracle import pmf_exact, right_exact, sharp_lower, sharp_upper
 from sketchbound import exact
+from sketchbound import solver
 from sketchbound import (
     DomainError,
     OracleLimitError,
@@ -23,6 +24,7 @@ from sketchbound import (
     upper_bound,
 )
 from sketchbound.exact import left_tail_exact
+from sketchbound.model import support
 
 EXACT = TailEngine.EXACT
 
@@ -287,3 +289,64 @@ def test_kernel_degenerate_populations():
 def test_kernel_on_coverage_shaped_instances(n, m, s, ks):
     for k in ks:
         assert_kernel_matches(n, m, s, k)
+
+
+# ------------------------------------------------------------ orientation
+# Both functions evaluate with the sample the least of m, n - m, s and n - s,
+# by K's symmetry in m and s and the laws of s - K and m - K; every value must
+# still be the literal sum in the caller's orientation.
+
+
+def literal_pmf(n, m, s, j):
+    return Fraction(math.comb(m, j) * math.comb(n - m, s - j), math.comb(n, s))
+
+
+PLACES = ("s", "m", "n - s", "n - m")
+
+
+@st.composite
+def oriented_args(draw):
+    """(n, m, s, k, j) whose least margin is at the drawn place; k from one below the
+    support to one past it, j inside it."""
+    n = draw(st.integers(1, 90))
+    least = draw(st.integers(0, n // 2))
+    other = draw(st.integers(least, n - least))
+    place = draw(st.sampled_from(PLACES))
+    m, s = {"s": (other, least), "m": (least, other),
+            "n - s": (other, n - least), "n - m": (n - least, other)}[place]
+    assume(s >= 1)
+    lo, hi = support(n, m, s)
+    return n, m, s, draw(st.integers(max(0, lo - 1), hi + 1)), draw(st.integers(lo, hi))
+
+
+@given(oriented_args())
+@example((40, 0, 10, 0, 0))  # m = 0
+@example((40, 40, 10, 9, 10))  # m = n
+@example((40, 17, 40, 16, 17))  # s = n
+@example((9, 9, 9, 9, 9))
+@example((1, 0, 1, 0, 0))
+@example((30, 22, 12, 3, 4))  # k just below the support
+@example((30, 22, 12, 11, 12))  # k just below its top
+@example((20, 8, 17, 6, 7))  # least margin n - s
+@example((20, 17, 15, 12, 12))  # least margin n - m
+def test_every_orientation_matches_the_literal_sum(args):
+    n, m, s, k, j = args
+    assert exact._orient(n, m, s)[1] == min(m, n - m, s, n - s)
+    total = math.comb(n, s)
+    assert left_tail_exact(n, m, s, k) == Fraction(literal_left(n, m, s, k), total)
+    assert exact.pmf_exact(n, m, s, j) == literal_pmf(n, m, s, j)
+
+
+def test_a_tail_enters_the_oracle_once(monkeypatch):
+    # the benchmark counts calls through the module attribute: an orientation taken by
+    # calling it again would double exact.evals_per_op
+    calls = []
+    real = exact.left_tail_exact
+    monkeypatch.setattr(exact, "left_tail_exact", lambda *a: calls.append(a) or real(*a))
+    ctx = PrecisionContext.for_digits(16)
+    for n, m, s, k in [(9000, 36, 600, 2), (9000, 8900, 600, 598), (2500, 500, 150, 30),
+                       (100, 30, 90, 25), (100, 80, 90, 75), (40, 0, 10, 0), (40, 17, 40, 16)]:
+        calls.clear()
+        assert solver.left_tail(n, m, s, k, EXACT, ctx) == Fraction(
+            literal_left(n, m, s, k), math.comb(n, s))
+        assert calls == [(n, m, s, k)]
