@@ -38,8 +38,8 @@ def check_limit(n: int) -> None:
                                "use the direct or stirling engine")
 
 
-# C(n, s) at the oriented s, shared by the tails of a solve whose least margin is
-# the sample: as costly as a short tail near the guard
+# C(n, s) at the oriented sample s, shared by a solve's tails while s stays their
+# least margin: as costly as a short tail near the guard
 @lru_cache(maxsize=32)
 def _total(n: int, s: int) -> int:
     return math.comb(n, s)
