@@ -5,14 +5,14 @@ success count and reports how often each one-sided bound fails.  Trial i's
 draw is the u-quantile of hypergeometric(n, m, s), u the top 53 bits of the
 i-th big-endian 64-bit word of the SHAKE-256 stream of f"{seed}:", so results
 do not depend on scheduling and a run of N trials is the first N of any longer
-run; seed and trials are checked as integers.  Quantiles come from a CDF table
-per (n, m, s), summed from exact.run's integer terms and divided into floats
-once, each entry c also kept as the integer cut ceil(c 2^53) 2^11: a word's
-uniform is below c exactly when the word is below that cut, so a run's words
-are counted by one bisection of the cuts each, never converted or sorted.  By
-log-concavity each side of the table stops at the first term t, reached by
-ratio r, where t/(1-r), a bound on the mass it drops, is below 2^-60 of the
-mode term.
+run; seed and trials are checked as integers.  Quantiles come from a table
+per (n, m, s): exact.run's integer terms, summed exactly to S_i up to entry i
+and S in all, give the CDF S_i / S, kept only as the integer cuts
+ceil(2^53 S_i / S) 2^11.  A word's uniform is below S_i / S exactly when the
+word is below its cut, so a run's words are counted by one bisection of the
+cuts each, never converted or sorted.  By log-concavity each side of the
+table stops at the first term t, reached by ratio r, where t/(1-r), a bound
+on the mass it drops, is below 2^-60 of the mode term.
 
 Bounds depend on a draw only through k, and a larger k has a larger left tail
 at every m, so U(k) and L(k) = n - U(s - k) are nondecreasing in k: each side's
@@ -24,8 +24,8 @@ prediction is right; the counts rest on the solves alone.
 from __future__ import annotations
 
 import hashlib
-import math
-import struct
+import sys
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -49,14 +49,16 @@ class CoverageReport:
     seed: int
 
 
-def _trial_words(seed: int, trials: int) -> tuple[int, ...]:
-    stream = hashlib.shake_256(f"{seed}:".encode()).digest(8 * trials)
-    return struct.unpack(f">{trials}Q", stream)
+def _trial_words(seed: int, trials: int) -> array:
+    words = array("Q", hashlib.shake_256(f"{seed}:".encode()).digest(8 * trials))
+    if sys.byteorder == "little":
+        words.byteswap()
+    return words
 
 
 @lru_cache(maxsize=16)
-def _cdf_table(n: int, m: int, s: int) -> tuple[int, tuple[float, ...], tuple[int, ...]]:
-    """(first index, CDF, word cuts) of hypergeometric(n, m, s); O(sd) entries, about 18k
+def _cdf_table(n: int, m: int, s: int) -> tuple[int, tuple[int, ...]]:
+    """(first index, word cuts) of hypergeometric(n, m, s); O(sd) entries, about 18k
     at the flagship."""
     check_tail_domain(n, m, s)
     lo, hi = support(n, m, s)
@@ -67,9 +69,8 @@ def _cdf_table(n: int, m: int, s: int) -> tuple[int, tuple[float, ...], tuple[in
     up = run(n, m, s, mode, hi, one, one >> 60)
     down = run(n, n - m, s, s - mode, s - lo, one, one >> 60)
     sums = list(accumulate(down[::-1] + [one] + up))
-    cdf = tuple(c / sums[-1] for c in sums)
-    cuts = tuple(math.ceil(c * 2.0 ** 53) << 11 for c in cdf)
-    return mode - len(down), cdf, cuts
+    cuts = tuple(-((-c << 53) // sums[-1]) << 11 for c in sums)
+    return mode - len(down), cuts
 
 
 def sample_successes(n: int, m: int, s: int, words: Iterable[int]) -> Counter[int]:
@@ -77,11 +78,12 @@ def sample_successes(n: int, m: int, s: int, words: Iterable[int]) -> Counter[in
 
     Word w stands for u = (w >> 11) 2^-53 in [0, 1); with u uniform a quantile
     is the success count of a uniform without-replacement sample of s from n
-    items of which m are successes.  K <= first + i exactly when u < cdf[i],
-    that is when w < cuts[i], so a word's quantile is first plus the number of
-    cuts at or below it: one bisection of the integer cuts per word.
+    items of which m are successes.  K <= first + i exactly when u is below
+    the table's i-th CDF entry, that is when w < cuts[i], so a word's quantile
+    is first plus the number of cuts at or below it: one bisection of the
+    integer cuts per word.
     """
-    first, _, cuts = _cdf_table(n, m, s)
+    first, cuts = _cdf_table(n, m, s)
     counts = Counter(map(partial(bisect_right, cuts), words))
     return Counter({first + i: count for i, count in counts.items()})
 
@@ -123,11 +125,11 @@ def coverage_run(n: int, m: int, s: int, delta, trials: int, seed: int,
     d = QueryInstance(n, s, 0, delta).delta  # checks n, s and delta before any draw
     draws = sample_successes(n, m, s, _trial_words(seed, trials))
     observed = sorted(draws)
-    first, cdf, _ = _cdf_table(n, m, s)
+    first, cuts = _cdf_table(n, m, s)
     # first observed k whose upper bound reaches m, first whose lower bound exceeds it
-    up = _first_holding(observed, first + bisect_left(cdf, d), lambda k: (
+    up = _first_holding(observed, first + bisect_left(cuts, d * 2**64), lambda k: (
         upper_bound(QueryInstance(n, s, k, d), engine).m_hat >= m))
-    down = _first_holding(observed, first + 1 + bisect_right(cdf, 1 - d), lambda k: (
+    down = _first_holding(observed, first + 1 + bisect_right(cuts, (1 - d) * 2**64), lambda k: (
         lower_bound(QueryInstance(n, s, k, d), engine).m_hat > m))
     upper_failures = sum(draws[k] for k in observed[:up])
     lower_failures = sum(draws[k] for k in observed[down:])

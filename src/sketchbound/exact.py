@@ -7,9 +7,9 @@ guard below; `left_tail_exact` itself checks neither.  Right tails are the
 solver's mirrored left tails, as for every engine.
 
 Tails and the pmf are evaluated in the orientation whose sample is the
-least of m, n - m, s and n - s: K's law is symmetric in m and s, and s - K
-and m - K are hypergeometric(n, n - m, s) and (n, m, n - s), so
-left(n, m, s, k) = left(n, s, m, k) = 1 - left(n, n - m, s, s - k - 1)
+least of m, n - m, s and n - s, reached by two reflections: K's law is
+symmetric in m and s, and m - K, the successes left out of the sample, is
+hypergeometric(n, m, n - s), so left(n, m, s, k) = left(n, s, m, k)
 = 1 - left(n, m, n - s, m - k - 1).  There the support is 0..s and the
 integers are those of C(n, s) at the least s, a few hundred bits where the
 caller's orientation can take thousands.  A tail numerator sums
@@ -74,19 +74,12 @@ def _run_sum(n: int, m: int, s: int, a: int, b: int) -> int:
 
 def _orient(n: int, m: int, s: int) -> tuple[int, int, int | None]:
     """(m', s', c): K is distributed as K' of hypergeometric(n, m', s'), or as c - K'
-    when c is not None, with s' the least of m, n - m, s and n - s, so K' has support 0..s'.
-
-    The law is symmetric in m and s, and the failures in the sample (s - K) and the
-    successes left out of it (m - K) are hypergeometric(n, n - m, s) and (n, m, n - s).
-    """
-    least = min(m, n - m, s, n - s)
-    if least == s:
-        return m, s, None
-    if least == m:
-        return s, m, None
-    if least == n - s:
+    when c is not None, with s' the least of m, n - m, s and n - s, so K' has support 0..s'."""
+    if min(m, n - m) < min(s, n - s):
+        m, s = s, m
+    if n - s < s:
         return m, n - s, m
-    return s, n - m, s
+    return m, s, None
 
 
 def pmf_exact(n: int, m: int, s: int, j: int) -> Fraction:

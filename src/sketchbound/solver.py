@@ -197,6 +197,8 @@ def start_high(n: int, s: int, k: int, delta: Probability) -> int:
     descent.
     """
     q, c = k / s, -_ln(as_fraction(delta)) / s
+    if q == 1:  # k = s - 1 past 2^53: the seed's limit, at the structural zero
+        return n
     q_ln_q = q * math.log(q) if q else 0.0
     p = min(q + math.sqrt(c / 2), q - (1 - q) * math.expm1((q_ln_q - c) / (1 - q)))
     while p < 1:

@@ -2,8 +2,9 @@
 
 import math
 import random
+from fractions import Fraction
 
-from census import DELTAS, draw_k, instances, ladder, solves, summary
+from census import DELTAS, LADDER, draw_k, instances, ladder, solves, summary
 from oracle import right_exact
 from sketchbound import QueryInstance, TailEngine, lower_bound, upper_bound
 from sketchbound.exact import left_tail_exact
@@ -52,3 +53,34 @@ def test_floating_engines_within_one_of_sharp_past_the_sweep():
             got = lower_bound(inst, engine).m_hat
             assert got == low or (got == low + 1 and low_tie), (inst, engine, got, low)
     assert ties > 0
+
+
+def sharp_past_the_oracle(inst: QueryInstance, engine: str, mp_left_tail) -> None:
+    """Both bounds sharp against mpmath tails at twice the solve's digits: the upper
+    bound's left tail meets delta and the next m's does not, and likewise the lower
+    bound's right tail P(K >= k) = P(s - K <= s - k), s - K of population n - m."""
+    import mpmath
+
+    n, s, k = inst.n, inst.s, inst.k
+    up, low = upper_bound(inst, engine), lower_bound(inst, engine)
+    for r, tail, beyond in ((up, lambda m, d: mp_left_tail(n, m, s, k, d), up.m_hat + 1),
+                            (low, lambda m, d: mp_left_tail(n, n - m, s, s - k, d),
+                             low.m_hat - 1)):
+        digits = 2 * r.digits
+        with mpmath.workdps(digits):
+            delta = mpmath.mpf(inst.delta.numerator) / inst.delta.denominator
+            assert tail(r.m_hat, digits) >= delta, (inst, engine, r.side)
+            if 0 <= beyond <= n:
+                assert tail(beyond, digits) < delta, (inst, engine, r.side)
+
+
+def test_bounds_are_sharp_past_the_oracle(mp_left_tail):
+    # the benchmark's three ladder rungs at k = 0.9 s and k = 100 on both engines
+    # (direct only on the first two), then the first ten census rows past n = 10^4
+    for n, s in LADDER[:3]:
+        for k in (9 * s // 10, 100):
+            inst = QueryInstance(n, s, k, Fraction(1, 20))
+            for engine in ("stirling", "direct")[:2 if n < 10**12 else 1]:
+                sharp_past_the_oracle(inst, engine, mp_left_tail)
+    for inst in [i for i in instances(7, 40) if i.n > 10**4][:10]:
+        sharp_past_the_oracle(inst, "stirling", mp_left_tail)

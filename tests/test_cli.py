@@ -349,6 +349,17 @@ def test_domain_error_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("k, side", [("1", "lower"), ("99999999999999999", "upper")])
+def test_sample_proportion_rounding_to_one_exits_0(capsys, k, side):
+    # k / s of the side's upper-bound search is 1.0 in floats, past 2^53
+    code, out, err = run_cli(capsys, "bound", "--n", str(10**18), "--s", str(10**17),
+                             "--k", k, "--delta", "0.05", "--sides", side, "--format", "json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)[0]
+    assert int(payload["m_hat"]) == (1 if side == "lower" else 10**18 - 1)
+    assert Fraction(payload["tail_hi"]) >= Fraction(1, 20) > Fraction(payload["tail_lo"])
+
+
 def test_precision_infeasible_exits_3(capsys):
     code, _, err = run_cli(capsys, "bound", "--n", "1000000000000", "--s", "10000000",
                            "--k", "9000000", "--delta", "0.05", "--sides", "upper",

@@ -6,12 +6,15 @@ import random
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 
 import pytest
 
 from oracle import pmf_exact
 from sketchbound import DomainError, coverage, coverage_run, lower_bound, upper_bound
 from sketchbound.coverage import _cdf_table, _trial_words, sample_successes
+from sketchbound.exact import run
 from sketchbound.model import QueryInstance, support
 
 # chi-square 0.999 quantiles by degrees of freedom, from standard tables
@@ -40,9 +43,24 @@ def uniform(seed, index):
     return word_uniform(stream_word(seed, index))
 
 
+@lru_cache(maxsize=8)
+def exact_cdf(n, m, s):
+    """(first, CDF) of the table as exact ratios S_i / S of the running sums of the
+    exact.run terms it walks from the mode, checked against the table's own size."""
+    lo, hi = support(n, m, s)
+    mode = (s + 1) * (m + 1) // (n + 2)
+    one = 1 << (64 + 2 * s.bit_length())
+    up = run(n, m, s, mode, hi, one, one >> 60)
+    down = run(n, n - m, s, s - mode, s - lo, one, one >> 60)
+    sums = list(accumulate(down[::-1] + [one] + up))
+    first, cuts = _cdf_table(n, m, s)
+    assert (first, len(cuts)) == (mode - len(down), len(sums))
+    return first, [Fraction(c, sums[-1]) for c in sums]
+
+
 def quantile(n, m, s, u):
-    """The u-quantile by one bisection of the CDF table: K <= first + i exactly when u < cdf[i]."""
-    first, cdf, _ = _cdf_table(n, m, s)
+    """The u-quantile by one bisection of the exact CDF: K <= first + i exactly when u < cdf[i]."""
+    first, cdf = exact_cdf(n, m, s)
     return first + min(bisect_right(cdf, u), len(cdf) - 1)
 
 
@@ -97,15 +115,15 @@ CASES += [(2500, 500, 150), (9000, 36, 600), (10**6, 3 * 10**5, 10**4),
 
 
 def test_sample_counts_every_uniform_at_its_quantile():
-    # the words of every cut value and of the float just below it, each rounded down to a
-    # word's uniform, 0, the last uniform, duplicates; the float quantile is the reference
+    # the words of the uniforms at and just below every CDF entry, rounded down to a
+    # multiple of 2^-53, 0, the last uniform, duplicates; the exact quantile is the reference
     rng = random.Random(5)
     for n, m, s in CASES:
-        cuts = [c for c in _cdf_table(n, m, s)[1] if c < 1]
-        uniforms = cuts + cuts + [math.nextafter(c, 0) for c in cuts]
-        uniforms += [0.0, 0.0, LAST_UNIFORM, LAST_UNIFORM] + [rng.random() for _ in range(50)]
-        rng.shuffle(uniforms)
-        words = [word(u) for u in uniforms]
+        floors = [math.floor(c * 2**53) << 11 for c in exact_cdf(n, m, s)[1] if c < 1]
+        words = floors + floors + [max(w - (1 << 11), 0) for w in floors]
+        words += [word(u) for u in [0.0, 0.0, LAST_UNIFORM, LAST_UNIFORM]]
+        words += [word(rng.random()) for _ in range(50)]
+        rng.shuffle(words)
         draws = sample_successes(n, m, s, iter(words))
         assert draws == Counter(quantile(n, m, s, word_uniform(w)) for w in words), (n, m, s)
         assert sum(draws.values()) == len(words) and min(draws.values()) > 0
@@ -113,32 +131,33 @@ def test_sample_counts_every_uniform_at_its_quantile():
 
 
 def test_words_at_each_cut_land_on_the_side_of_their_uniform():
-    # at entry c the cut is ceil(c 2^53) << 11: the word just below it has a uniform below c,
-    # so K <= first + i, and the cut itself, when it is a word (c < 1), one at or above c
+    # at the exact entry c = S_i / S the cut is ceil(c 2^53) << 11: the word just below it
+    # has a uniform below c, so K <= first + i, and the cut itself, when it is a word, one
+    # at or above c
     for n, m, s in CASES:
-        first, cdf, _ = _cdf_table(n, m, s)
-        for i, c in enumerate(cdf):
-            cut = math.ceil(Fraction(c) * 2**53) << 11
+        first, cdf = exact_cdf(n, m, s)
+        for i, (c, cut) in enumerate(zip(cdf, _cdf_table(n, m, s)[1], strict=True)):
+            assert cut == math.ceil(c * 2**53) << 11
             below = cut - 1
             assert word_uniform(below) < c
             assert draw_word(n, m, s, below) == quantile(n, m, s, word_uniform(below)) <= first + i
             if cut < 2**64:
                 assert word_uniform(cut) >= c
                 assert draw_word(n, m, s, cut) == quantile(n, m, s, word_uniform(cut)) > first + i
-            else:
-                assert c == 1  # the table's last entry, and any rounded up to it
+            else:  # the table's last entry, and any within 2^-53 of it
+                assert c > 1 - Fraction(1, 2**53)
 
 
 def test_flagship_table_is_bounded_and_centred():
     n, m, s = 10**12, 9 * 10**11, 10**7
-    first, cdf, _ = _cdf_table(n, m, s)
+    first, cdf = exact_cdf(n, m, s)
     sd = math.sqrt(s * (m / n) * (1 - m / n) * (n - s) / (n - 1))
     # a cut at 2^-60 of the mode term keeps about 9.6 sd on each side of it
     assert len(cdf) < 20 * sd
     assert first <= draw(n, m, s, 0.0) < draw(n, m, s, LAST_UNIFORM)
     # E[K] = first + sum over the table of P(K > j)
-    mean = first + math.fsum(1 - c for c in cdf[:-1])
-    assert abs(mean - s * m / n) < 1e-6 * sd
+    mean = first + sum(1 - c for c in cdf[:-1])
+    assert abs(mean - Fraction(s * m, n)) < 1e-6 * sd
 
 
 def test_sample_mean_matches_hypergeometric():
@@ -177,7 +196,7 @@ def test_sample_distribution_chi_square():
 
 def test_trial_stream_hashes_seed_and_index():
     for seed in (0, -17, 2**64 + 1):
-        assert _trial_words(seed, 1001) == tuple(stream_word(seed, i) for i in range(1001))
+        assert list(_trial_words(seed, 1001)) == [stream_word(seed, i) for i in range(1001)]
     assert _trial_words(0, 2) != _trial_words(1, 2)
 
 

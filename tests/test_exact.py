@@ -337,6 +337,20 @@ def test_every_orientation_matches_the_literal_sum(args):
     assert exact.pmf_exact(n, m, s, j) == literal_pmf(n, m, s, j)
 
 
+def test_two_reflections_reach_the_least_margin():
+    # every (n <= 40, m, s): the oriented sample is the least of m, n - m, s and n - s, and
+    # K' there, reflected back through c - K' when c is set, has K's literal pmf
+    for n in range(1, 41):
+        for m in range(n + 1):
+            for s in range(1, n + 1):
+                m2, s2, c = exact._orient(n, m, s)
+                assert s2 == min(m, n - m, s, n - s), (n, m, s)
+                lo, hi = support(n, m, s)
+                for j in range(lo, hi + 1):
+                    assert literal_pmf(n, m2, s2, j if c is None else c - j) == literal_pmf(
+                        n, m, s, j), (n, m, s, j)
+
+
 def test_a_tail_enters_the_oracle_once(monkeypatch):
     # the benchmark counts calls through the module attribute: an orientation taken by
     # calling it again would double exact.evals_per_op

@@ -104,9 +104,8 @@ def test_every_top_level_name_is_exported_or_used_under_src():
 def test_module_level_caches_are_bounded():
     """Every module-level cache has a maxsize.
 
-    The largest entries are coverage's CDF tables: one holds O(sd) floats
-    and as many integer cuts, about 18k of each (some 1.4 MB) at n=1e12,
-    m=9e11, s=1e7.
+    The largest entries are coverage's CDF tables: one holds a tuple of
+    O(sd) integer cuts, about 18k (some 0.76 MB) at n=1e12, m=9e11, s=1e7.
     """
     caches = [model.decimal_context, direct._falling_cached, stirling.log_factorial,
               stirling._ln2pi, coverage._cdf_table, exact._total]

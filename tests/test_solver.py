@@ -387,6 +387,20 @@ def test_structurally_zero_high_seed_is_not_evaluated(monkeypatch):
     assert_certificate_computed(calls, inst, r)
 
 
+def test_start_high_where_the_proportion_rounds_to_one():
+    # k = s - 1 with s past 2^53: k / s is 1.0 in floats, and the seed is its limit n,
+    # at the structural zero, so neither side divides by 1 - k / s or evaluates it
+    n, s, delta = 10**18, 10**17, Fraction(1, 20)
+    assert start_high(n, s, s - 1, delta) == n
+    up = upper_bound(QueryInstance(n, s, s - 1, delta), TailEngine.STIRLING)
+    low = lower_bound(QueryInstance(n, s, 1, delta), TailEngine.STIRLING)
+    # P(K <= s - 1) at m = n - 1, and P(K >= 1) at m = 1, are both s / n
+    assert (up.m_hat, low.m_hat) == (n - 1, 1)
+    for r in (up, low):
+        assert abs(r.tail_at_m_hat - Decimal("0.1")) < Decimal(10) ** -30
+        assert r.tail_at_m_hat_plus_1 == 0 and r.iterations <= 3
+
+
 def kl(q, p):
     """Relative entropy KL(q || p) of two Bernoulli laws, in mpmath."""
     import mpmath
