@@ -61,7 +61,7 @@ def exact_cdf(n, m, s):
 def quantile(n, m, s, u):
     """The u-quantile by one bisection of the exact CDF: K <= first + i exactly when u < cdf[i]."""
     first, cdf = exact_cdf(n, m, s)
-    return first + min(bisect_right(cdf, u), len(cdf) - 1)
+    return first + min(bisect_right(cdf, Fraction(u)), len(cdf) - 1)
 
 
 def draw(n, m, s, u):
