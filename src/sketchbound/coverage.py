@@ -24,8 +24,7 @@ prediction is right; the counts rest on the solves alone.
 from __future__ import annotations
 
 import hashlib
-import sys
-from array import array
+import struct
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -49,11 +48,9 @@ class CoverageReport:
     seed: int
 
 
-def _trial_words(seed: int, trials: int) -> array:
-    words = array("Q", hashlib.shake_256(f"{seed}:".encode()).digest(8 * trials))
-    if sys.byteorder == "little":
-        words.byteswap()
-    return words
+def _trial_words(seed: int, trials: int) -> tuple[int, ...]:
+    stream = hashlib.shake_256(f"{seed}:".encode()).digest(8 * trials)
+    return struct.unpack(f">{trials}Q", stream)
 
 
 @lru_cache(maxsize=16)

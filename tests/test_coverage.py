@@ -196,7 +196,7 @@ def test_sample_distribution_chi_square():
 
 def test_trial_stream_hashes_seed_and_index():
     for seed in (0, -17, 2**64 + 1):
-        assert list(_trial_words(seed, 1001)) == [stream_word(seed, i) for i in range(1001)]
+        assert _trial_words(seed, 1001) == tuple(stream_word(seed, i) for i in range(1001))
     assert _trial_words(0, 2) != _trial_words(1, 2)
 
 
