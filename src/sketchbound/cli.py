@@ -190,11 +190,14 @@ def _cmd_batch(args) -> int:
     # union bound: the 2j one-sided statements of j conditions share delta
     delta_side = delta / (2 * len(conditions))
 
-    rows = []
+    # conditions with the same count share one solve per side
+    rows, solved = [], {}
     for label, k in sorted(conditions):
         instance = QueryInstance(n, s, k, delta_side)
-        rows.append((label, k, instance, upper_bound(instance, args.engine, args.digits),
-                     lower_bound(instance, args.engine, args.digits)))
+        if k not in solved:
+            solved[k] = (upper_bound(instance, args.engine, args.digits),
+                         lower_bound(instance, args.engine, args.digits))
+        rows.append((label, k, instance, *solved[k]))
 
     confidence = 1 - delta
     shown_digits = max(row[3].digits for row in rows)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from decimal import Decimal
 from functools import lru_cache
+from itertools import chain, repeat
 
 from .model import PrecisionContext, check_tail_domain, decimal_context, support
 
@@ -30,13 +31,15 @@ _GUARD_DIGITS = 5  # extra digits for the power of two that scales the quotient
 def _falling(a: int, b: int, bits: int, v: int = 1, e: int = 0) -> tuple[int, int]:
     """(v * 2**e) * T(a, b) as a mantissa of at most `bits` bits and an exponent.
 
-    T(a, b) is multiplied in exact chunks of _CHUNK factors; the mantissa is
-    truncated after each chunk, which loses less than 2**(1-bits) relative
-    (nothing while the product still fits).
+    T(a, b) is multiplied in exact chunks of _CHUNK factors from the top, the
+    b % _CHUNK remaining ones last; the mantissa is truncated after each
+    chunk, which loses less than 2**(1-bits) relative (nothing while the
+    product still fits).  The chunks come from a C-level map over their
+    starts and sizes.
     """
-    stop = a - b
-    for hi in range(a, stop, -_CHUNK):
-        v *= math.perm(hi, min(_CHUNK, hi - stop))
+    sizes = chain(repeat(_CHUNK, b // _CHUNK), (b % _CHUNK,))
+    for chunk in map(math.perm, range(a, a - b, -_CHUNK), sizes):
+        v *= chunk
         x = v.bit_length() - bits
         if x > 0:
             v >>= x

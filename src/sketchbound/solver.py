@@ -6,18 +6,23 @@ endpoint's below it.  The bracket starts structural (tail 1 at m = 0, 0
 from m = n - (s - k) + 1 on); its first points are the seeds, the sample
 proportion and the relative-entropy form of Hoeffding's bound, each
 evaluated only while strictly inside it.  Then each step takes the secant
-of ln tail(m) - ln delta through the last two points, or bisects when that
-leaves the bracket, meets a zero tail, or could overrun the ceil(log2 n) + 2
-evaluation budget; every computed tail moves an endpoint.  Once the next
-point lies within one standard deviation of K of the tail just evaluated,
-the gap identity left(m) - left(m + 1) = p_m(k) (s - k) / (n - m) steps
-tails from that one, with one more pmf term, until they cross delta.  Lower
-bounds come from the upper bound of the complemented condition, and every
-bound takes its digit count from the precision chooser, which keeps tail
-errors inside the tail gaps.  A floating tail sums outward from one anchor
-term, in integers, and stops each side on a bound of the mass it drops,
-relative to the anchor, so its error is relative to the tail; right tails
-are mirrored.
+through the last two points in coordinates where the tail's far end is a
+power law: ln tail(m) - ln delta against ln(z - m), z = n - (s - k) + 1 the
+structural zero, next to which the tail falls like a power of z - m (far
+from z, to first order a secant in m); or, for delta > 1/2,
+ln(1 - delta) - ln(1 - tail(m)) against ln(m - k), since 1 - tail rises
+like a power of m - k from m = k.  It bisects when the root leaves the
+bracket, meets a tail of 0 (1 for delta > 1/2), or could overrun the
+ceil(log2 n) + 2 evaluation budget; every computed tail moves an
+endpoint.  Once the next point lies within one standard deviation of K of
+the tail just evaluated, the gap identity left(m) - left(m + 1) =
+p_m(k) (s - k) / (n - m) steps tails from that one, with one more pmf term,
+until they cross delta.  Lower bounds come from the upper bound of the
+complemented condition, and every bound takes its digit count from the
+precision chooser, which keeps tail errors inside the tail gaps.  A
+floating tail sums outward from one anchor term, in integers, and stops
+each side on a bound of the mass it drops, relative to the anchor, so its
+error is relative to the tail; right tails are mirrored.
 """
 
 from __future__ import annotations
@@ -241,12 +246,14 @@ def upper_bound(instance: QueryInstance, engine: Union[TailEngine, str] = "auto"
     # each evaluated only while strictly inside it
     lo, t_lo, hi, t_hi = 0, one, n - (s - k) + 1, zero
     seeds = iter(((k * n) // s, start_high(n, s, k, delta)))
-    # then the secant on f(m) = ln tail(m) - ln delta through the last two
-    # points (before the first evaluation, lo's); bisect when it leaves the
-    # bracket, meets a zero tail, or could not finish bisecting inside
-    # ceil(log2 n) + 2 evaluations
+    # then the secant through the last two points (before the first
+    # evaluation, lo's) of ln w(m) - ln w(root) against ln|m - c|: w = tail
+    # and c = hi, the structural zero, or for delta > 1/2, w = 1 - tail and
+    # c = k; bisect when the root leaves the bracket, w is not positive, or
+    # the search could not finish bisecting inside ceil(log2 n) + 2 evaluations
     budget = (n - 1).bit_length() + 2
-    ln_delta = _ln(delta)
+    rising = 2 * delta > 1
+    c, ln_w = (k, _ln(1 - delta)) if rising else (hi, _ln(delta))
     # the most gap steps N whose 3N + 2 half-units of 10^(1 - digits), as
     # _gap_steps charges them, stay under target / 20
     room = (int(ctx.abs_error_target.scaleb(ctx.digits - 2)) - 2) // 3
@@ -257,12 +264,17 @@ def upper_bound(instance: QueryInstance, engine: Union[TailEngine, str] = "auto"
         mid = next((m for m in seeds if lo < m < hi), None)
         if mid is None:
             mid = (lo + hi) // 2
-            if t_a and t_b and evals + (hi - lo - 1).bit_length() < budget:
-                f_a, f_b = _ln(t_a) - ln_delta, _ln(t_b) - ln_delta
+            w_a, w_b = (one - t_a, one - t_b) if rising else (t_a, t_b)
+            if w_a > 0 < w_b and evals + (hi - lo - 1).bit_length() < budget:
+                f_a, f_b = _ln(w_a) - ln_w, _ln(w_b) - ln_w
                 if f_a != f_b:
-                    x = b - f_b * (b - a) / (f_b - f_a)
+                    u_a, u_b = math.log(abs(a - c)), math.log(abs(b - c))
+                    # the root's distance from c, capped short of exp's overflow (any
+                    # root that far lies outside the bracket), then its floor in m
+                    y = math.exp(min(u_b - f_b * (u_b - u_a) / (f_b - f_a), 709.0))
+                    x = c + math.floor(y) if rising else c - math.ceil(y)
                     if lo - 1 <= x <= hi + 1:
-                        mid = min(max(math.floor(x), lo + 1), hi - 1)
+                        mid = min(max(x, lo + 1), hi - 1)
         if evaluated and b >= k:
             cap = min(_step_cap(n, s, b), room)
             if abs(mid - b) <= cap:

@@ -15,6 +15,9 @@ with k = 0.9 s and k = 100.  The census is 3,008 solves on Stirling.
 
 It prints the mean, p50, p90, p99, max and total of `BoundResult.iterations`,
 and how many solves end within two of criterion 8's budget ceil(log2 n) + 2.
+It also prints the solves, total and max of the two regimes in REGIMES, where
+a secant in m degenerates: an effective k of 1 or s - 1 (next to the
+structural zero) and delta > 1/2.
 Evaluation counts do not depend on the machine, so the census is a perf
 metric free of timing noise.
 
@@ -86,6 +89,15 @@ def percentile(sorted_counts: list[int], q: float) -> int:
     return sorted_counts[max(0, math.ceil(q * len(sorted_counts)) - 1)]
 
 
+# regimes where a secant in m degenerates, by (instance, side); the effective
+# k is k for an upper bound and s - k for a lower one, which solves its dual
+REGIMES = {
+    "effective k in {1, s - 1}":
+        lambda inst, side: (inst.k if side == "upper" else inst.s - inst.k) in (1, inst.s - 1),
+    "delta > 1/2": lambda inst, side: 2 * inst.delta > 1,
+}
+
+
 def summary(rows: list[tuple[QueryInstance, str, int]]) -> dict[str, float]:
     counts = sorted(it for _, _, it in rows)
     return {
@@ -114,6 +126,9 @@ def main(argv: list[str] | None = None) -> int:
           f"p90 {stats['p90']}, p99 {stats['p99']}, max {stats['max']}, total {stats['total']}")
     print(f"within two of the budget: {stats['near_budget']}, "
           f"over it: {stats['over_budget']}")
+    for regime, within in REGIMES.items():
+        counts = [it for inst, side, it in rows if within(inst, side)]
+        print(f"{regime}: {len(counts)} solves, total {sum(counts)}, max {max(counts)}")
     return 0
 
 

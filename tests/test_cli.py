@@ -214,6 +214,39 @@ def test_batch_matches_individual_bounds(capsys):
     assert row["lower"]["m_hat"] == single["lower"]
 
 
+def test_batch_solves_each_distinct_count_once(capsys, monkeypatch):
+    # six conditions, three distinct counts, per side 0.12 / 12 = 0.01
+    import io
+
+    from sketchbound import cli
+
+    calls = []
+    for name in ("upper_bound", "lower_bound"):
+        def spy(instance, *args, real=getattr(cli, name), name=name):
+            calls.append((name, instance.k))
+            return real(instance, *args)
+        monkeypatch.setattr(cli, name, spy)
+    text = "1000 100 0.12\na 12\nb 30\nc 12\nd 0\ne 30\nf 12\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, _ = run_cli(capsys, "batch", "-", "--format", "json")
+    assert code == 0
+    assert sorted(calls) == [(name, k) for name in ("lower_bound", "upper_bound")
+                             for k in (0, 12, 30)]
+    rows = json.loads(out)["conditions"]
+    assert [row["label"] for row in rows] == list("abcdef")
+    for row in rows:
+        # each row prints what a solve of its own condition prints
+        _, single, _ = run_cli(capsys, "bound", "--n", "1000", "--s", "100",
+                               "--k", str(row["upper"]["k"]), "--delta", "0.01",
+                               "--no-bonferroni", "--format", "json")
+        assert json.dumps([row["upper"], row["lower"]], indent=2) + "\n" == single
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    _, out, _ = run_cli(capsys, "batch", "-")
+    assert out.splitlines()[1:-1] == [
+        f"{row['label']}: k={row['upper']['k']} lower={row['lower']['m_hat']} "
+        f"upper={row['upper']['m_hat']}" for row in rows]
+
+
 def test_single_condition_batch_is_plain_two_sided_bound(capsys):
     # j = 1 batch at delta splits to delta/2 per side, same as the default
     # two-sided bound command

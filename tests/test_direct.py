@@ -47,6 +47,47 @@ def test_falling_products_exact_then_truncated():
     assert exact - (v << e) < exact * 13 * Fraction(2, 2**48)
 
 
+def falling_per_chunk(a: int, b: int, bits: int) -> tuple[int, int]:
+    """T(a, b) multiplied one chunk of up to 16 factors at a time from the top,
+    the mantissa truncated to `bits` bits after each."""
+    v, e, stop = 1, 0, a - b
+    for hi in range(a, stop, -16):
+        v *= math.perm(hi, min(16, hi - stop))
+        x = v.bit_length() - bits
+        if x > 0:
+            v >>= x
+            e += x
+    return v, e
+
+
+def test_falling_is_the_per_chunk_product():
+    rng = random.Random(29)
+    cases = [(a, b, bits) for a in (0, 15, 16, 17, 10**12) for b in (0, 1, 15, 16, 17, 32, 33)
+             if b <= a for bits in (2, 16, 53, 200)]
+    for _ in range(1200):
+        a = rng.randint(0, 10 ** rng.randint(1, 13))
+        b = rng.choice((0, rng.randint(0, 15), 16 * rng.randint(0, 60), rng.randint(0, 2000)))
+        cases.append((a, min(a, b), rng.randint(2, 400)))
+    assert sum(b == 0 for _, b, _ in cases) > 50
+    assert sum(0 < b < 16 for _, b, _ in cases) > 200
+    assert sum(b > 0 and b % 16 == 0 for _, b, _ in cases) > 200
+    for a, b, bits in cases:
+        assert _falling(a, b, bits) == falling_per_chunk(a, b, bits), (a, b, bits)
+
+
+def test_falling_truncation_bound():
+    # each of the ceil(b / 16) truncations loses under 2**(1-bits) relative
+    rng = random.Random(30)
+    for _ in range(500):
+        a, bits = rng.randint(1, 10**15), rng.randint(8, 120)
+        b = rng.randint(0, min(a, 200))
+        exact = math.perm(a, b)
+        v, e = _falling(a, b, bits)
+        assert v.bit_length() <= bits
+        assert v << e <= exact
+        assert exact - (v << e) < exact * -(-b // 16) * Fraction(2, 2**bits) or exact == v << e
+
+
 def test_pmf_direct_rejects_sample_larger_than_population():
     # T(n, s) = 0 exactly when s > n, which the domain check rejects
     with pytest.raises(DomainError):

@@ -584,13 +584,20 @@ def test_iteration_budget():
 
 def test_structural_zero_searches():
     # Next to the structural zero n - (s - k) + 1 the tail falls like a power
-    # of its distance from it, every secant root leaves the bracket, and the
-    # search bisects: a walk there sums a few terms and K's standard
-    # deviation is under one, so no gap steps cut these short either.
+    # of its distance from it, and for delta > 1/2, 1 - tail rises like a
+    # power of m - k: a secant in m leaves the bracket there and bisects, one
+    # in the log of that distance does not.  A walk there sums a few terms and
+    # K's standard deviation is under one, so no gap steps cut these short.
+    tiny = Fraction(1, 10**300)
     for solve, inst, m_hat, evals in [
-            (lower_bound, QueryInstance(10**12, 10**6, 1, Fraction(1, 10**8)), 1, 21),
-            (lower_bound, QueryInstance(10**9, 10**4, 1, Fraction(1, 10**8)), 1, 18),
-            (upper_bound, QueryInstance(10**6, 100, 99, Fraction(1, 10**8)), 999_999, 15)]:
+            (lower_bound, QueryInstance(10**12, 10**6, 1, Fraction(1, 10**8)), 1, 2),
+            (lower_bound, QueryInstance(10**9, 10**4, 1, Fraction(1, 10**8)), 1, 2),
+            (upper_bound, QueryInstance(10**6, 100, 99, Fraction(1, 10**8)), 999_999, 2),
+            (upper_bound, QueryInstance(10**18, 3, 1, tiny), 10**18 - 2, 2),
+            (lower_bound, QueryInstance(10**18, 3, 1, tiny), 1, 2),
+            # a census row at delta = 99/100
+            (upper_bound, QueryInstance(416551823076, 2, 1, Fraction(99, 100)), 41655182308, 4),
+            (lower_bound, QueryInstance(416551823076, 2, 1, Fraction(99, 100)), 374896640768, 4)]:
         r = solve(inst, TailEngine.STIRLING)
         assert (r.m_hat, r.iterations) == (m_hat, evals), inst
 
